@@ -29,17 +29,16 @@ from .gordon import gordon_set, monte_carlo_measure
 from .quadratic import Quadratic, parse_theta
 from .spectrum import (
     DEFAULT_RESOLUTION,
-    DISC_IMAG_TOL,
     TAU,
     PeriodicAlphas,
+    band_arcs_from_function,
+    discriminant_sampler,
     floquet_discriminant_residual,
-    period_doubling_arcs,
     periodic_approximant,
-    raw_discriminant_grid,
-    reality_residual,
-    spectrum_arcs,
+    product_sampler,
+    real_discriminant,
 )
-from .tracemap import trace_a_grid, trace_orbit
+from .tracemap import trace_orbit
 from .transfer import VerblunskyMap
 from .words import DEFAULT_WORD_CAP, NAMED_RULES, continued_fraction, sturmian_coding, substitution_word
 
@@ -266,35 +265,18 @@ def _resolve_periodic(cfg: RunConfig):
     rule = _named_rule(rule_name)
     level = cfg.require("level")
     alphas = periodic_approximant(rule, level, cfg.verblunsky())
-    return alphas, {"rule": rule_name, "level": level, "q": len(alphas.values)}
+    return alphas, {"rule": rule_name, "level": level, "q": alphas.period}
 
 
-def _write_curve(cfg: RunConfig, alphas: PeriodicAlphas, meta: dict) -> None:
+def _write_curve(cfg: RunConfig, sample) -> None:
     """Discriminant samples as CSV: angle, real / imaginary part, band flag."""
     omegas = np.linspace(0.0, TAU, cfg.resolution, endpoint=False)
     chunks = [c for c in np.array_split(omegas, cfg.threads) if c.size]
-    if meta["rule"] == "period-doubling":
-        fmap = cfg.verblunsky()
-        level = meta["level"]
-
-        def sample(chunk):
-            # the recursion is real arithmetic end to end
-            return trace_a_grid(np.exp(1j * chunk), fmap, level).astype(complex)
-
-    else:
-
-        def sample(chunk):
-            return raw_discriminant_grid(np.exp(1j * chunk), alphas)
-
     tr = np.concatenate(_parallel_map(sample, chunks, cfg.threads))
-    if reality_residual(tr) > DISC_IMAG_TOL:
-        raise NumericAssertionError(
-            f"discriminant must be real on the unit circle; worst residual {reality_residual(tr)}"
-        )
+    in_band = np.abs(real_discriminant(tr)) <= 2.0
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["angle", "disc_real", "disc_imag", "in_band"])
-    in_band = np.abs(tr.real) <= 2.0
     for omega, value, flag in zip(omegas, tr, in_band):
         writer.writerow([repr(float(omega)), repr(float(value.real)), repr(float(value.imag)), int(flag)])
     _emit(buf.getvalue(), cfg.curve)
@@ -302,12 +284,13 @@ def _write_curve(cfg: RunConfig, alphas: PeriodicAlphas, meta: dict) -> None:
 
 def cmd_spectrum(cfg: RunConfig) -> str:
     alphas, meta = _resolve_periodic(cfg)
-    if meta["rule"] == "period-doubling":
-        arcs = period_doubling_arcs(meta["level"], cfg.verblunsky(), resolution=cfg.resolution)
+    if cfg.free:
+        sample = product_sampler(alphas)
     else:
-        arcs = spectrum_arcs(alphas, resolution=cfg.resolution)
+        sample = discriminant_sampler(_named_rule(cfg.rule), cfg.level, cfg.verblunsky())
+    arcs = band_arcs_from_function(sample, cfg.resolution)
     if cfg.curve is not None:
-        _write_curve(cfg, alphas, meta)
+        _write_curve(cfg, sample)
     payload = {"schema": SCHEMA, "resolution": cfg.resolution, **meta, **arcs.as_dict()}
     return _json_text(payload)
 
@@ -420,7 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--resolution", type=int, help="angles in the initial scan grid")
     p_spec.add_argument("--curve", help="also write discriminant samples (CSV) here")
 
-    p_trace = sub.add_parser("trace", parents=[common], help="trace-map orbit as CSV")
+    trace_help = (
+        "trace-map orbit as CSV; rows stop at the last level where both traces are "
+        "finite (an orbit that overflows has escaped before it does)"
+    )
+    p_trace = sub.add_parser("trace", parents=[common], help=trace_help, description=trace_help)
     p_trace.add_argument("--f-a", help="coefficient at letter a")
     p_trace.add_argument("--f-b", help="coefficient at letter b")
     p_trace.add_argument("--z", help="spectral parameter on the unit circle")

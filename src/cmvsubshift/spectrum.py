@@ -3,10 +3,14 @@
 A q-periodic Verblunsky sequence (q even) has purely absolutely continuous
 spectrum: the set of z = e^{i omega} where the trace of the q-site transfer
 product -- the discriminant -- lies in [-2, 2].  This module computes
-discriminants (directly or through the period-doubling trace recursion),
-extracts the band arcs by adaptive grid scanning plus bisection on |disc| = 2,
-and builds the finite q x q Floquet operator whose eigenvalues give the exact
-band correspondence disc(z0) = phi + 1/phi.
+discriminants, extracts the band arcs by adaptive grid scanning plus
+bisection on |disc| = 2, and builds the finite q x q Floquet operator whose
+eigenvalues give the exact band correspondence disc(z0) = phi + 1/phi.
+
+Every discriminant, scalar or over a grid, comes from the product kernel
+``transfer_product_grid``, except that ``discriminant_sampler`` -- the one
+place a route is chosen -- sends period-doubling approximants through the
+trace recursion.  ``real_discriminant`` is the one reality check.
 """
 
 from __future__ import annotations
@@ -20,13 +24,8 @@ import numpy as np
 from .arcs import ArcSet
 from .errors import NumericAssertionError, ValidationError
 from .tracemap import trace_a_grid, trace_orbit
-from .transfer import (
-    VerblunskyMap,
-    theta_matrix,
-    transfer_product,
-    transfer_product_grid,
-)
-from .words import SubstitutionRule, fixed_point_prefix
+from .transfer import VerblunskyMap, theta_matrix, transfer_product_grid
+from .words import PERIOD_DOUBLING, SubstitutionRule, fixed_point_prefix
 
 TAU = 2.0 * math.pi
 DISC_IMAG_TOL = 1e-9
@@ -65,11 +64,17 @@ class PeriodicAlphas:
 def periodic_approximant(
     rule: SubstitutionRule, level: int, f: VerblunskyMap
 ) -> PeriodicAlphas:
-    """Coefficients read off the level-n substitution prefix, repeated."""
+    """Coefficients read off the level-n substitution prefix, repeated.
+
+    Band computations need an even period, so a prefix of odd length q is
+    repeated twice and the approximant has period 2q.
+    """
     if level < 2:
         raise ValidationError("approximant level must be >= 2")
-    word = fixed_point_prefix(rule, level)
-    return PeriodicAlphas(tuple(f.alpha(c) for c in word), start=1)
+    values = tuple(f.alpha(c) for c in fixed_point_prefix(rule, level))
+    if len(values) % 2:
+        values *= 2
+    return PeriodicAlphas(values, start=1)
 
 
 def _require_even_period(alphas: PeriodicAlphas) -> int:
@@ -79,41 +84,64 @@ def _require_even_period(alphas: PeriodicAlphas) -> int:
     return q
 
 
-def discriminant(z: complex, alphas: PeriodicAlphas, imag_tol: float = DISC_IMAG_TOL) -> float:
-    """Trace of the one-period transfer product; must be real on |z| = 1."""
-    q = _require_even_period(alphas)
-    tr = transfer_product(alphas, z, 1, q).trace
-    if abs(tr.imag) > imag_tol * max(1.0, abs(tr)):
-        raise NumericAssertionError(
-            f"discriminant must be real on the unit circle; imaginary part {tr.imag}"
-        )
-    return tr.real
-
-
 def raw_discriminant_grid(z: np.ndarray, alphas: PeriodicAlphas) -> np.ndarray:
     """One-period product trace over an array of points, before the reality check."""
     q = _require_even_period(alphas)
-    prod = transfer_product_grid(alphas, np.asarray(z, dtype=complex), 1, q)
+    prod = transfer_product_grid(alphas.alpha, np.asarray(z, dtype=complex), 1, q)
     return prod[0, 0] + prod[1, 1]
 
 
-def reality_residual(tr: np.ndarray) -> float:
-    """Worst relative imaginary part over an array of would-be-real values."""
-    tr = np.atleast_1d(tr)
-    return float(np.max(np.abs(tr.imag) / np.maximum(1.0, np.abs(tr))))
+def real_discriminant(tr: np.ndarray, imag_tol: float = DISC_IMAG_TOL) -> np.ndarray:
+    """Real part of sampled discriminants, which must be real on |z| = 1.
+
+    Complex samples (the product route) fail if their worst relative
+    imaginary part exceeds ``imag_tol``; real samples (the trace route) pass
+    through unchecked.
+    """
+    if not np.iscomplexobj(tr):
+        return tr
+    worst = float(np.max(np.abs(tr.imag) / np.maximum(1.0, np.abs(tr))))
+    if worst > imag_tol:
+        raise NumericAssertionError(
+            f"discriminant must be real on the unit circle; worst residual {worst}"
+        )
+    return tr.real
 
 
 def discriminant_grid(
     z: np.ndarray, alphas: PeriodicAlphas, imag_tol: float = DISC_IMAG_TOL
 ) -> np.ndarray:
     """Vectorized discriminant over an array of unit-circle points."""
-    tr = raw_discriminant_grid(z, alphas)
-    worst = reality_residual(tr)
-    if worst > imag_tol:
-        raise NumericAssertionError(
-            f"discriminant must be real on the unit circle; worst residual {worst}"
-        )
-    return tr.real
+    return real_discriminant(raw_discriminant_grid(z, alphas), imag_tol)
+
+
+def discriminant(z: complex, alphas: PeriodicAlphas, imag_tol: float = DISC_IMAG_TOL) -> float:
+    """Trace of the one-period transfer product at one point: a length-1 grid."""
+    return float(discriminant_grid(np.array([complex(z)]), alphas, imag_tol)[0])
+
+
+def product_sampler(alphas: PeriodicAlphas) -> Callable[[np.ndarray], np.ndarray]:
+    """Raw one-period product trace as a function of angles omega."""
+
+    def sample(omegas: np.ndarray) -> np.ndarray:
+        return raw_discriminant_grid(np.exp(1j * omegas), alphas)
+
+    return sample
+
+
+def discriminant_sampler(
+    rule: SubstitutionRule, level: int, f: VerblunskyMap
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Raw discriminant of the level-n approximant as a function of angles.
+
+    This is where the route is chosen.  Period doubling runs the trace
+    recursion (real arithmetic, O(level) per angle); every other rule
+    multiplies the per-site matrices over one period and returns complex
+    samples for ``real_discriminant`` to check.
+    """
+    if rule == PERIOD_DOUBLING:
+        return lambda omegas: trace_a_grid(np.exp(1j * omegas), f, level)
+    return product_sampler(periodic_approximant(rule, level, f))
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +192,15 @@ def band_arcs_from_function(
 ) -> ArcSet:
     """Band arcs {omega : |disc(e^{i omega})| <= 2} for a sampled discriminant.
 
-    The grid doubles until the number of bands stabilizes (a cheap tangency
-    fallback), then every edge is bisected to ``angle_tol``.
+    ``disc_fn`` maps angles to raw samples, which ``real_discriminant``
+    checks.  The grid doubles until the number of bands stabilizes (a cheap
+    tangency fallback), then every edge is bisected to ``angle_tol``.
     """
     if resolution < 8:
         raise ValidationError("resolution too small to scan bands")
 
     def inside(omegas: np.ndarray) -> np.ndarray:
-        return np.abs(disc_fn(omegas)) <= 2.0
+        return np.abs(real_discriminant(disc_fn(omegas))) <= 2.0
 
     res = int(resolution)
     prev_count = -1
@@ -209,12 +238,8 @@ def spectrum_arcs(
     angle_tol: float = EDGE_ANGLE_TOL,
     max_resolution: int = MAX_RESOLUTION,
 ) -> ArcSet:
-    """Band arcs of a periodic coefficient sequence (generic route)."""
-
-    def disc(omegas: np.ndarray) -> np.ndarray:
-        return discriminant_grid(np.exp(1j * omegas), alphas)
-
-    return band_arcs_from_function(disc, resolution, angle_tol, max_resolution)
+    """Band arcs of a periodic coefficient sequence (product route)."""
+    return band_arcs_from_function(product_sampler(alphas), resolution, angle_tol, max_resolution)
 
 
 def period_doubling_arcs(
@@ -224,17 +249,8 @@ def period_doubling_arcs(
     angle_tol: float = EDGE_ANGLE_TOL,
     max_resolution: int = MAX_RESOLUTION,
 ) -> ArcSet:
-    """Band arcs of the level-n period-doubling approximant.
-
-    Uses the trace recursion (real arithmetic, O(level) per grid point)
-    instead of the 2^level-fold matrix product.
-    """
-    if level < 1:
-        raise ValidationError("level must be >= 1")
-
-    def disc(omegas: np.ndarray) -> np.ndarray:
-        return trace_a_grid(np.exp(1j * omegas), f, level)
-
+    """Band arcs of the level-n period-doubling approximant (trace route)."""
+    disc = discriminant_sampler(PERIOD_DOUBLING, level, f)
     return band_arcs_from_function(disc, resolution, angle_tol, max_resolution)
 
 
@@ -305,11 +321,9 @@ def floquet_discriminant_residual(
     """
     flo = build_floquet(alphas, phi)
     target = (phi + 1.0 / phi).real
-    worst = 0.0
-    for z0 in flo.eigenvalues():
-        z0 = complex(z0)
-        z0 /= abs(z0)  # eigenvalues of a unitary matrix, up to rounding
-        worst = max(worst, abs(discriminant(z0, alphas) - target))
+    z0 = flo.eigenvalues()
+    disc = discriminant_grid(z0 / np.abs(z0), alphas)  # unit modulus up to rounding
+    worst = float(np.max(np.abs(disc - target)))
     return {
         "q": flo.q,
         "phi": flo.phi,

@@ -14,6 +14,10 @@ where the constant C depends only on the two Verblunsky values (not on z).
 Orbits of this map decide whether a spectral parameter can belong to the
 approximating band spectra: once |x_n| > C and y_n > 2 the orbit provably
 escapes, and that escape region is the only instability test used here.
+
+The recursion is written once, in ``iterate_traces``, which runs over arrays
+(a scalar seed is an array of length 1); scalar orbits, grid scans and the
+escape classification all read their levels from it.
 """
 
 from __future__ import annotations
@@ -25,13 +29,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import NumericAssertionError, ValidationError
-from .transfer import (
-    TransferMatrix2,
-    VerblunskyMap,
-    gz_step,
-    rho_of,
-    transfer_product,
-)
+from .transfer import TransferMatrix2, VerblunskyMap, gz_step, rho_of, transfer_product
 from .words import PERIOD_DOUBLING, substitution_word
 
 IMAG_TOL = 1e-9
@@ -79,8 +77,7 @@ def block_matrix(
         raise ValidationError("block level must be >= 1")
     if method == "direct":
         word = substitution_word(PERIOD_DOUBLING, letter, level)
-        alphas = f.coefficients(word)
-        return transfer_product(alphas, z, 1, len(word))
+        return transfer_product(lambda n: f.alpha(word.letter(n)), z, 1, len(word))
     if method != "recursion":
         raise ValidationError("method must be 'recursion' or 'direct'")
     block_a, block_b = level_one_blocks(z, f)
@@ -116,12 +113,14 @@ class TraceOrbit:
 
     def escaped_at(self, level: int) -> bool:
         k = self._check(level)
-        return bool(
-            abs(self.trace_a[k]) > self.coupling and self.trace_b[k] > 2.0
-        )
+        return bool(_in_escape_region(self.trace_a[k], self.trace_b[k], self.coupling))
 
     def rows(self) -> Iterable[tuple]:
+        """(level, x, y, escaped) up to the last level where both traces are
+        finite; an orbit that overflows has escaped before it does."""
         for k in range(self.levels):
+            if not (math.isfinite(self.trace_a[k]) and math.isfinite(self.trace_b[k])):
+                return
             yield (
                 k + 1,
                 float(self.trace_a[k]),
@@ -130,19 +129,27 @@ class TraceOrbit:
             )
 
 
-def iterate_traces(x1: float, y1: float, coupling: float, levels: int):
-    """Run the bare real recursion from a level-1 seed; returns two arrays."""
+def _in_escape_region(x, y, coupling: float):
+    """|x| > C and y > 2: the invariant region of certified escape."""
+    return (np.abs(x) > coupling) & (y > 2.0)
+
+
+def iterate_traces(x, y, coupling: float, levels: int):
+    """Yield (x_n, y_n) for n = 1..levels from the level-1 seed (x, y), as float arrays.
+
+    A scalar seed runs as an array of length 1.  Overflow once an orbit has
+    escaped is not an error; the traces run on to inf.  No reference to an
+    earlier level is kept, so a grid scan holds no more arrays than it needs.
+    """
     if levels < 1:
         raise ValidationError("levels must be >= 1")
-    xs = np.empty(levels)
-    ys = np.empty(levels)
-    xs[0], ys[0] = x1, y1
-    x, y = float(x1), float(y1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, levels):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    yield x, y
+    for _ in range(levels - 1):
+        with np.errstate(over="ignore", invalid="ignore"):
             x, y = x * y - coupling, x * x - 2.0
-            xs[k], ys[k] = x, y
-    return xs, ys
+        yield x, y
 
 
 def trace_orbit(
@@ -166,7 +173,9 @@ def trace_orbit(
             f"level-1 traces should be real; imaginary residual {residual}"
         )
     coupling = coupling_constant(f)
-    xs, ys = iterate_traces(x1.real, y1.real, coupling, levels)
+    orbit = list(iterate_traces(x1.real, y1.real, coupling, levels))
+    xs = np.concatenate([x for x, _ in orbit])
+    ys = np.concatenate([y for _, y in orbit])
     return TraceOrbit(coupling, xs, ys, complex(z), residual)
 
 
@@ -176,17 +185,17 @@ def trace_a_grid(z: np.ndarray, f: VerblunskyMap, level: int) -> np.ndarray:
     Level-1 traces reduce to 2(Re(conj(alpha_a) alpha_b) + Re z)/(rho_a rho_b)
     and its b-analogue, so the whole iteration runs in real arithmetic.
     """
-    if level < 1:
-        raise ValidationError("level must be >= 1")
     z = np.asarray(z, dtype=complex)
     ra, rb = rho_of(f.alpha_a), rho_of(f.alpha_b)
     cos_part = 2.0 * z.real
-    x = (2.0 * _alpha_overlap(f) + cos_part) / (ra * rb)
-    y = (2.0 * abs(f.alpha_a) ** 2 + cos_part) / (ra * ra)
-    coupling = coupling_constant(f)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(level - 1):
-            x, y = x * y - coupling, x * x - 2.0
+    orbit = iterate_traces(
+        (2.0 * _alpha_overlap(f) + cos_part) / (ra * rb),
+        (2.0 * abs(f.alpha_a) ** 2 + cos_part) / (ra * ra),
+        coupling_constant(f),
+        level,
+    )
+    for x, _ in orbit:
+        pass
     return x
 
 
@@ -210,14 +219,12 @@ def classify_orbit(
     """
     if coupling < 2.0 - 1e-12:
         raise ValidationError("coupling constant below its lower bound 2")
-    x, y = float(x1), float(y1)
-    for level in range(1, max_levels + 1):
-        if not (math.isfinite(x) and math.isfinite(y)):
+    for level, (x, y) in enumerate(iterate_traces(x1, y1, coupling, max_levels), 1):
+        if not (np.isfinite(x[0]) and np.isfinite(y[0])):
             return StabilityVerdict("not-decided", None, None, level - 1)
-        if abs(x) > coupling and y > 2.0:
-            region = "positive" if x > 0 else "negative"
+        if _in_escape_region(x[0], y[0], coupling):
+            region = "positive" if x[0] > 0 else "negative"
             return StabilityVerdict("unstable", level, region, level)
-        x, y = x * y - coupling, x * x - 2.0
     return StabilityVerdict("not-decided", None, None, max_levels)
 
 

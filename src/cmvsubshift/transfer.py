@@ -12,6 +12,12 @@ with rho = sqrt(1 - |alpha|^2).  Both have determinant exactly -1, and at
 norms of products control spectral behaviour.  Ordered products moving right
 from site 1 (and inverted products moving left from site 0) are the objects
 the trace map, the band computation and the Gordon bounds all consume.
+
+The site formula is written once, in ``gz_step_entries``, and the ordered
+product once, in ``transfer_product_grid``, which runs over an array of
+spectral points; a scalar product is a grid of length 1.  Coefficients come
+from a callable ``n -> alpha(n)`` (``PeriodicAlphas.alpha``, a ``Window``'s
+``__getitem__``, a lambda).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -87,44 +93,20 @@ class VerblunskyMap:
         return Window([self.alpha(c) for c in Word(letters)], lo)
 
 
-AlphaSource = Union[Callable[[int], complex], Window]
-
-
-def _alpha_at(alphas: AlphaSource, n: int) -> complex:
-    if isinstance(alphas, Window):
-        val = alphas[n]
-    elif callable(alphas):
-        val = alphas(n)
-    else:
-        alpha_fn = getattr(alphas, "alpha", None)
-        if alpha_fn is None:
-            raise ValidationError("coefficient source must be a Window, callable, or expose .alpha(n)")
-        val = alpha_fn(n)
-    return complex(val)
+AlphaSource = Callable[[int], complex]
 
 
 @dataclass(frozen=True)
 class TransferMatrix2:
-    """A 2x2 complex matrix tagged with its factor bookkeeping.
-
-    ``first_parity`` is the parity (0 even / 1 odd) of the site index of the
-    first (rightmost) factor, ``n_factors`` the number of single-site factors
-    multiplied in; both are None/0 for bare matrices like inverses.
-    """
+    """A 2x2 complex transfer matrix."""
 
     mat: np.ndarray
-    first_parity: Optional[int] = None
-    n_factors: int = 0
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
         if m.shape != (2, 2):
             raise ValidationError("transfer matrices are 2x2")
         object.__setattr__(self, "mat", m)
-
-    @staticmethod
-    def identity() -> "TransferMatrix2":
-        return TransferMatrix2(np.eye(2, dtype=complex), None, 0)
 
     @property
     def det(self) -> complex:
@@ -137,10 +119,7 @@ class TransferMatrix2:
 
     def __matmul__(self, other):
         if isinstance(other, TransferMatrix2):
-            first = other.first_parity if other.n_factors else self.first_parity
-            return TransferMatrix2(
-                self.mat @ other.mat, first, self.n_factors + other.n_factors
-            )
+            return TransferMatrix2(self.mat @ other.mat)
         other = np.asarray(other, dtype=complex)
         return self.mat @ other
 
@@ -150,7 +129,7 @@ class TransferMatrix2:
             raise ValidationError("singular transfer matrix")
         m = self.mat
         inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / d
-        return TransferMatrix2(inv, None, 0)
+        return TransferMatrix2(inv)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.mat, 2))
@@ -160,33 +139,14 @@ def gz_step(alpha: complex, z: complex, parity: Union[int, str]) -> TransferMatr
     """Single-site transfer matrix at a site of the given index parity.
 
     ``parity`` may be the site index itself (its parity is used) or one of
-    the strings "odd" / "even".
+    the strings "odd" / "even".  The entries are those of ``gz_step_entries``.
     """
     if isinstance(parity, str):
         if parity not in ("odd", "even"):
             raise ValidationError("parity must be 'odd', 'even', or an integer index")
-        bit = 1 if parity == "odd" else 0
-    else:
-        bit = int(parity) & 1
-    z = _check_unit_z(z)
-    r = rho_of(alpha)
-    if bit:
-        m = np.array([[-np.conj(alpha), z], [1.0 / z, -alpha]], dtype=complex)
-    else:
-        m = np.array([[-alpha, 1.0], [1.0, -np.conj(alpha)]], dtype=complex)
-    return TransferMatrix2(m / r, bit, 1)
-
-
-def szego_step(alpha: complex, z: complex) -> TransferMatrix2:
-    """The orthogonal-polynomial one-step matrix (determinant z, not -1).
-
-    Kept for cross-checks only: it generates the same half-line dynamics in a
-    different normalization.
-    """
-    z = _check_unit_z(z)
-    r = rho_of(alpha)
-    m = np.array([[z, -np.conj(alpha)], [-alpha * z, 1.0]], dtype=complex) / r
-    return TransferMatrix2(m, None, 1)
+        parity = 1 if parity == "odd" else 0
+    t00, t01, t10, t11 = gz_step_entries(alpha, _check_unit_z(z), int(parity))
+    return TransferMatrix2(np.array([[t00, t01], [t10, t11]]))
 
 
 def theta_matrix(alpha: complex) -> np.ndarray:
@@ -198,37 +158,25 @@ def theta_matrix(alpha: complex) -> np.ndarray:
 def transfer_product(alphas: AlphaSource, z: complex, lo: int, hi: int) -> TransferMatrix2:
     """Ordered product of single-site matrices for sites lo..hi (last on the left).
 
-    An empty range (hi < lo) yields the identity.
+    A length-1 call of ``transfer_product_grid``; an empty range (hi < lo)
+    yields the identity.
     """
-    acc = TransferMatrix2.identity()
-    for n in range(lo, hi + 1):
-        acc = gz_step(_alpha_at(alphas, n), z, n) @ acc
-    return acc
-
-
-def gz_product(alphas: AlphaSource, z: complex, n: int) -> TransferMatrix2:
-    """The two-sided product family: sites 1..n for n >= 1, identity at 0,
-    and inverted products of sites n+1..0 for n <= -1."""
-    if n >= 1:
-        return transfer_product(alphas, z, 1, n)
-    if n == 0:
-        return TransferMatrix2.identity()
-    return transfer_product(alphas, z, n + 1, 0).inverse()
+    return TransferMatrix2(transfer_product_grid(alphas, np.array([complex(z)]), lo, hi)[:, :, 0])
 
 
 # ---------------------------------------------------------------------------
-# grid-vectorized products
+# the product kernel
 # ---------------------------------------------------------------------------
 
 
 def gz_step_entries(alpha: complex, z: np.ndarray, parity: int):
-    """Entries of the single-site matrix over an array of spectral points."""
+    """Entries (m00, m01, m10, m11) of the single-site matrix at spectral point(s) z."""
     r = rho_of(alpha)
     if parity & 1:
         return (
             -np.conj(alpha) / r + 0.0 * z,
             z / r,
-            1.0 / (z * r),
+            (1.0 / z) / r,
             -alpha / r + 0.0 * z,
         )
     c = -alpha / r
@@ -248,7 +196,7 @@ def transfer_product_grid(alphas: AlphaSource, z: np.ndarray, lo: int, hi: int) 
     m10 = np.zeros_like(z)
     m11 = np.ones_like(z)
     for n in range(lo, hi + 1):
-        t00, t01, t10, t11 = gz_step_entries(_alpha_at(alphas, n), z, n)
+        t00, t01, t10, t11 = gz_step_entries(complex(alphas(n)), z, n)
         n00 = t00 * m00 + t01 * m10
         n01 = t00 * m01 + t01 * m11
         n10 = t10 * m00 + t11 * m10
@@ -316,11 +264,11 @@ def propagate(
     u[-lo], v[-lo] = s
     state = s.copy()
     for n in range(1, hi + 1):
-        state = gz_step(_alpha_at(alphas, n), z, n) @ state
+        state = gz_step(complex(alphas(n)), z, n) @ state
         u[n - lo], v[n - lo] = state
     state = s.copy()
     for n in range(0, lo, -1):
-        state = gz_step(_alpha_at(alphas, n), z, n).inverse() @ state
+        state = gz_step(complex(alphas(n)), z, n).inverse() @ state
         u[n - 1 - lo], v[n - 1 - lo] = state
     return SolutionPair(u, v, lo, z)
 
@@ -340,11 +288,11 @@ class GordonCheck:
 
 def _require_blocks(alphas: AlphaSource, n: int, sides: int):
     for j in range(1, n + 1):
-        if _alpha_at(alphas, j) != _alpha_at(alphas, j + n):
+        if alphas(j) != alphas(j + n):
             raise ValidationError(
                 f"coefficients fail the repetition condition at site {j}"
             )
-        if sides == 3 and _alpha_at(alphas, j - n) != _alpha_at(alphas, j):
+        if sides == 3 and alphas(j - n) != alphas(j):
             raise ValidationError(
                 f"coefficients fail the two-sided repetition condition at site {j}"
             )

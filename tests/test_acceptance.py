@@ -243,8 +243,8 @@ def test_criterion_09_gordon_end_to_end():
     for beta, z in zip(phases[:10], zs):
         window = sturmian_coding(GOLDEN_MEAN, beta).window(1 - q, 2 * q)
         coeffs = f.coefficients(window)
-        check = gordon_inequality_check(coeffs, z, q, variant="two")
-        three = gordon_inequality_check(coeffs, z, q, variant="three")
+        check = gordon_inequality_check(coeffs.__getitem__, z, q, variant="two")
+        three = gordon_inequality_check(coeffs.__getitem__, z, q, variant="three")
         holds += check.holds and three.holds
     elapsed = time.perf_counter() - t0
     ok = passed == 100 and holds == 10

@@ -7,12 +7,15 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cmvsubshift import cli
 from cmvsubshift.gordon import gordon_set
 from cmvsubshift.quadratic import GOLDEN_MEAN
-from cmvsubshift.words import sturmian_coding
+from cmvsubshift.spectrum import build_floquet, periodic_approximant
+from cmvsubshift.transfer import VerblunskyMap
+from cmvsubshift.words import FIBONACCI, sturmian_coding
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +92,33 @@ def test_trace_csv_coupling_column(capsys):
     assert [r["level"] for r in rows] == [str(k) for k in range(1, 11)]
     for row in rows:
         assert abs(float(row["coupling"]) - 10 / 3) < 1e-10
+
+
+def test_trace_stops_at_last_finite_level(capsys):
+    code, out, _ = run_cli(
+        capsys, "trace", "--z", "1", "--f-a", "0.5", "--f-b=-0.5", "--levels", "14"
+    )
+    assert code == 0
+    assert "inf" not in out and "nan" not in out
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 11
+    assert rows[-1]["escaped"] == "1"
+
+
+def test_spectrum_odd_approximant_runs_as_double_period(capsys):
+    code, out, _ = run_cli(
+        capsys, "spectrum", "--rule", "fibonacci", "--level", "6", "--f-a", "0.3", "--f-b=-0.3"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["q"] == 42  # the level-6 prefix has odd length 21
+    # band edges are the eigenvalues of the Floquet operator at phi = +1, -1
+    alphas = periodic_approximant(FIBONACCI, 6, VerblunskyMap(0.3, -0.3))
+    edges = np.concatenate([np.angle(build_floquet(alphas, phi).eigenvalues()) for phi in (1, -1)])
+    for arc in doc["arcs"]:
+        for end in (arc["lo"], arc["hi"]):
+            gap = np.abs(np.angle(np.exp(1j * (edges - end))))
+            assert gap.min() < 1e-9
 
 
 def test_gordon_json_matches_library(capsys):

@@ -56,7 +56,7 @@ def test_discriminant_free_case_and_trace_equality():
     assert discriminant(unit_point(om), free) == pytest.approx(2 * math.cos(om), abs=1e-12)
     al = PeriodicAlphas((0.5, 0.5))
     z = 1.0 + 0j
-    tr = transfer_product(al, z, 1, 2).trace
+    tr = transfer_product(al.alpha, z, 1, 2).trace
     assert discriminant(z, al) == pytest.approx(tr.real, abs=1e-14)
     with pytest.raises(ValidationError):
         discriminant(z, PeriodicAlphas((0.1, 0.2, 0.3)))  # odd period
@@ -164,11 +164,11 @@ def test_floquet_on_substitution_approximant():
     al = periodic_approximant(PERIOD_DOUBLING, 3, f)
     rep = floquet_discriminant_residual(al, unit_point(2.2))
     assert rep["q"] == 8 and rep["worst_residual"] < 1e-9
-    # a Fibonacci approximant has odd length at level 3, so band machinery refuses
+    # the Fibonacci prefix at level 3 has odd length 5, so it runs as period 10
     fib = periodic_approximant(FIBONACCI, 3, f)
-    assert fib.period == 5
-    with pytest.raises(ValidationError):
-        discriminant(1.0 + 0j, fib)
+    assert fib.period == 10 and fib.values[:5] == fib.values[5:]
+    rep = floquet_discriminant_residual(fib, unit_point(2.2))
+    assert rep["q"] == 10 and rep["worst_residual"] < 1e-9
 
 
 def test_trace_bound_connection():

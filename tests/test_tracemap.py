@@ -166,8 +166,10 @@ def test_reality_assertion_is_live():
 
 
 def test_iterate_traces_seed_is_level_one():
-    xs, ys = iterate_traces(1.5, -0.5, 2.5, 4)
-    assert xs[0] == 1.5 and ys[0] == -0.5
-    assert xs[1] == 1.5 * -0.5 - 2.5 and ys[1] == 1.5**2 - 2.0
+    orbit = list(iterate_traces(1.5, -0.5, 2.5, 4))
+    assert len(orbit) == 4
+    (x1, y1), (x2, y2) = orbit[:2]
+    assert x1.tolist() == [1.5] and y1.tolist() == [-0.5]
+    assert x2.tolist() == [1.5 * -0.5 - 2.5] and y2.tolist() == [1.5**2 - 2.0]
     with pytest.raises(ValidationError):
-        iterate_traces(0.0, 0.0, 2.0, 0)
+        list(iterate_traces(0.0, 0.0, 2.0, 0))

@@ -8,10 +8,8 @@ from cmvsubshift.transfer import (
     TransferMatrix2,
     VerblunskyMap,
     gordon_inequality_check,
-    gz_product,
     gz_step,
     propagate,
-    szego_step,
     theta_matrix,
     transfer_product,
     transfer_product_grid,
@@ -44,22 +42,25 @@ def test_single_step_determinant_is_minus_one():
 def test_free_product_closed_form():
     z = unit_point(0.9)
     free = lambda n: 0.0
-    m2 = gz_product(free, z, 2)
+    m2 = transfer_product(free, z, 1, 2)
     assert np.allclose(m2.mat, np.diag([1 / z, z]), atol=1e-14)
-    assert m2.n_factors == 2 and m2.first_parity == 1
-    m_minus2 = gz_product(free, z, -2)
+    m_minus2 = transfer_product(free, z, -1, 0).inverse()
     assert np.allclose(m_minus2.mat, np.diag([z, 1 / z]), atol=1e-14)
     assert np.allclose((m2 @ m_minus2).mat, np.eye(2), atol=1e-14)
+    assert np.allclose(transfer_product(free, z, 1, 0).mat, np.eye(2))  # empty range
 
 
 def test_negative_products_invert_site_range():
+    # the inverse of a product is the product of the single-site inverses,
+    # taken in the opposite order
     rng = np.random.default_rng(RNG_SEED + 1)
     vals = random_disk(rng, 8)
-    alphas = Window(list(vals), -5)
+    alphas = Window(list(vals), -5).__getitem__
     z = unit_point(2.2)
-    back = gz_product(alphas, z, -3)
-    fwd = transfer_product(alphas, z, -2, 0)
-    assert np.allclose(back.mat @ fwd.mat, np.eye(2), atol=1e-12)
+    back = transfer_product(alphas, z, -2, 0).inverse()
+    steps = [gz_step(alphas(n), z, n).inverse().mat for n in (-2, -1, 0)]
+    assert np.allclose(back.mat, np.linalg.multi_dot(steps), atol=1e-12)
+    assert np.allclose(back.mat @ transfer_product(alphas, z, -2, 0).mat, np.eye(2), atol=1e-12)
 
 
 def test_free_case_preserves_norms():
@@ -74,11 +75,11 @@ def test_theta_coupling_links_solution_components():
     # solution components site by site
     rng = np.random.default_rng(RNG_SEED + 2)
     vals = random_disk(rng, 21)
-    alphas = Window(list(vals), -10)
+    alphas = Window(list(vals), -10).__getitem__
     z = unit_point(rng.uniform(0, 2 * np.pi))
     sol = propagate(alphas, z, (0.6, 0.8j), -9, 10)
     for j in range(-8, 11):
-        th = theta_matrix(alphas[j])
+        th = theta_matrix(alphas(j))
         if j % 2:  # odd site
             got = th @ np.array([sol.u_at(j - 1), sol.u_at(j)])
             want = z * np.array([sol.v_at(j - 1), sol.v_at(j)])
@@ -96,14 +97,6 @@ def test_theta_matrix_is_unitary_with_det_minus_one():
         assert abs(np.linalg.det(th) + 1.0) < 1e-14
 
 
-def test_szego_step_determinant_is_z():
-    rng = np.random.default_rng(RNG_SEED + 4)
-    for alpha in random_disk(rng, 10):
-        z = unit_point(rng.uniform(0, 2 * np.pi))
-        assert abs(szego_step(alpha, z).det - z) < 1e-14
-        assert not np.allclose(szego_step(alpha, z).mat, gz_step(alpha, z, 1).mat)
-
-
 def test_verblunsky_map():
     f = VerblunskyMap(0.5, -0.25j)
     assert f.alpha("a") == 0.5 and f.alpha("b") == -0.25j
@@ -115,24 +108,36 @@ def test_verblunsky_map():
         VerblunskyMap(1.0, 0.0)
 
 
+def docstring_site_matrix(alpha, z, n):
+    """The single-site matrix written out from the transfer.py docstring."""
+    rho = np.sqrt(1.0 - abs(alpha) ** 2)
+    if n % 2:
+        mat = [[-np.conj(alpha), z], [1.0 / z, -alpha]]
+    else:
+        mat = [[-alpha, 1.0], [1.0, -np.conj(alpha)]]
+    return np.array(mat, dtype=complex) / rho
+
+
 def test_grid_product_matches_scalar_route():
+    # reference: the docstring formula site by site, multiplied by numpy
     rng = np.random.default_rng(RNG_SEED + 5)
     vals = list(random_disk(rng, 6))
-    alphas = Window(vals, 1)
+    alphas = Window(vals, 1).__getitem__
     omegas = rng.uniform(0, 2 * np.pi, 7)
     zs = np.exp(1j * omegas)
     grid = transfer_product_grid(alphas, zs, 1, 6)
     for k, z in enumerate(zs):
-        single = transfer_product(alphas, z, 1, 6).mat
-        assert np.allclose(grid[:, :, k], single, atol=1e-12)
+        reference = np.linalg.multi_dot([docstring_site_matrix(alphas(n), z, n) for n in range(6, 0, -1)])
+        assert np.allclose(grid[:, :, k], reference, atol=1e-12)
+        assert np.allclose(transfer_product(alphas, z, 1, 6).mat, reference, atol=1e-12)
 
 
-def test_matrix_bookkeeping_and_validation():
+def test_matrix_inverse_and_validation():
     z = unit_point(0.4)
     t1 = gz_step(0.2, z, 1)
     t2 = gz_step(0.3, z, 2)
     prod = t2 @ t1
-    assert prod.n_factors == 2 and prod.first_parity == 1
+    assert np.allclose(prod.mat, docstring_site_matrix(0.3, z, 2) @ docstring_site_matrix(0.2, z, 1))
     assert np.allclose(prod.inverse().mat @ prod.mat, np.eye(2), atol=1e-14)
     with pytest.raises(ValidationError):
         gz_step(0.2, 1.5 + 0j, 1)

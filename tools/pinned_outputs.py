@@ -1,0 +1,102 @@
+"""Hash the output of a fixed list of CLI configs, one SHA-256 line per config.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 tools/pinned_outputs.py [--dump DIR] [NAME ...]
+
+Each config runs in-process through ``cmvsubshift.cli.main``.  The hash
+covers the exit code, stdout, stderr and the ``--curve`` file when the
+config writes one, so two revisions print the same line exactly when they
+produce the same bytes.  ``--dump DIR`` also writes every output to
+``DIR/NAME.out`` (and ``DIR/NAME.csv`` for curves) for a closer diff.
+Names given on the command line restrict the run to those configs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+PD = ["--rule", "period-doubling", "--f-a", "0.3", "--f-b=-0.3"]
+COMPLEX_F = ["--f-a", "0.25+0.1j", "--f-b=-0.2j"]
+
+CONFIGS = [
+    ("spectrum-pd7", ["spectrum", *PD, "--level", "7"]),
+    ("spectrum-pd10", ["spectrum", *PD, "--level", "10"]),
+    ("spectrum-pd12", ["spectrum", *PD, "--level", "12"]),
+    ("spectrum-pd9-curve", ["spectrum", *PD, "--level", "9", "--resolution", "4096", "--curve"]),
+    ("spectrum-tm6", ["spectrum", "--rule", "thue-morse", "--level", "6", *COMPLEX_F]),
+    ("spectrum-tm7", ["spectrum", "--rule", "thue-morse", "--level", "7", "--f-a", "0.2", "--f-b=-0.2"]),
+    ("spectrum-fib8", ["spectrum", "--rule", "fibonacci", "--level", "8", "--f-a", "0.3", "--f-b=-0.3"]),
+    ("spectrum-fib10", ["spectrum", "--rule", "fibonacci", "--level", "10", *COMPLEX_F]),
+    ("spectrum-tm5-curve", ["spectrum", "--rule", "thue-morse", "--level", "5", *COMPLEX_F,
+                            "--resolution", "2048", "--curve"]),
+    ("spectrum-free", ["spectrum", "--free", "--period", "6", "--resolution", "1024", "--curve"]),
+    ("trace-escape", ["trace", "--z", "1", "--f-a", "0.5", "--f-b=-0.5", "--levels", "14"]),
+    ("trace-band", ["trace", "--z", "0.6+0.8j", *COMPLEX_F, "--levels", "10"]),
+    ("floquet-pd4", ["floquet-check", *PD, "--level", "4", "--phi-count", "8"]),
+    ("floquet-fib7", ["floquet-check", "--rule", "fibonacci", "--level", "7", *COMPLEX_F]),
+    ("gordon-sturmian", ["gordon", "--theta", "golden", "--n", "9", "--mc-samples", "2000", "--seed", "3"]),
+    ("gordon-coding", ["gordon", "--theta", "sqrt2-1", "--n", "6", "--mode", "coding",
+                       "--interval", "1/10", "2/5"]),
+    ("word-pd", ["word", "--rule", "period-doubling", "--level", "6"]),
+    ("word-sturmian", ["word", "--sturmian", "--theta", "golden", "--beta", "1/7", "--range=-20..40"]),
+    ("cf", ["cf", "--theta", "sqrt2-1", "--depth", "12"]),
+]
+
+
+def run_config(cli, argv, workdir):
+    """Exit code, stdout, stderr and curve text of one in-process CLI run."""
+    argv = list(argv)
+    curve_path = None
+    if argv[-1] == "--curve":
+        curve_path = os.path.join(workdir, "curve.csv")
+        argv.append(curve_path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    curve = ""
+    if curve_path is not None and os.path.exists(curve_path):
+        with open(curve_path, encoding="utf-8") as fh:
+            curve = fh.read()
+        os.remove(curve_path)
+    return code, out.getvalue(), err.getvalue(), curve
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dump", help="also write each output under this directory")
+    parser.add_argument("names", nargs="*", help="run only these configs")
+    args = parser.parse_args(argv)
+    from cmvsubshift import cli
+
+    known = {name for name, _ in CONFIGS}
+    unknown = set(args.names) - known
+    if unknown:
+        parser.error(f"unknown configs: {sorted(unknown)}")
+    if args.dump:
+        os.makedirs(args.dump, exist_ok=True)
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, config in CONFIGS:
+            if args.names and name not in args.names:
+                continue
+            code, out, err, curve = run_config(cli, config, workdir)
+            blob = f"exit {code}\n--stdout\n{out}--stderr\n{err}--curve\n{curve}"
+            digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            print(f"{digest}  {name}", flush=True)
+            if args.dump:
+                with open(os.path.join(args.dump, name + ".out"), "w", encoding="utf-8") as fh:
+                    fh.write(f"exit {code}\n{out}{err}")
+                if curve:
+                    with open(os.path.join(args.dump, name + ".csv"), "w", encoding="utf-8") as fh:
+                        fh.write(curve)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
