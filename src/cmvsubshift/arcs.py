@@ -4,8 +4,12 @@ Band spectra live on the unit circle (period 2*pi, float endpoints) and
 Gordon phase sets live on the torus R/Z (period 1, exact Fraction/Quadratic
 endpoints).  One container serves both: endpoints may be any totally ordered
 numeric type closed under subtraction, and all set algebra (merge, complement,
-intersection, measure) stays in that type.  Floats appear only when a caller
-asks for them (JSON export, sampling).
+intersection, measure) stays in that type.  Construction sorts and merges
+once; complement and intersection then work on the sorted disjoint arcs
+directly (one pass, no re-sorting), so exact endpoints are never reduced or
+compared more than once.  Floats appear only when a caller asks for them
+(JSON export, sampling, vectorized membership), and each endpoint is
+converted to a float once per set.
 """
 
 from __future__ import annotations
@@ -32,6 +36,37 @@ def _reduce(x, period):
     return r if r < period else r - period
 
 
+def _lo(arc):
+    return arc[0]
+
+
+def _approx_lo(arc):
+    return arc[0].approx
+
+
+def _sort_by_lo(pieces: List[Tuple]) -> None:
+    """Sort arcs by their lower endpoint, in place.
+
+    Exact Quadratic endpoints are sorted filter-then-verify: by their float
+    approximations first, then by one insertion pass with exact comparisons,
+    which puts right the few neighbours whose approximations tie or cross.
+    The insertion pass alone gives the exact order; the float sort only makes
+    it take about n comparisons instead of n log n.
+    """
+    if not (pieces and isinstance(pieces[0][0], Quadratic)):
+        pieces.sort(key=_lo)
+        return
+    pieces.sort(key=_approx_lo)
+    for i in range(1, len(pieces)):
+        item = pieces[i]
+        lo = item[0]
+        j = i
+        while j and lo < pieces[j - 1][0]:
+            pieces[j] = pieces[j - 1]
+            j -= 1
+        pieces[j] = item
+
+
 class ArcSet:
     """A finite union of half-open arcs [lo, hi) on a circle of given period.
 
@@ -41,7 +76,7 @@ class ArcSet:
     sweep of length >= period fills the circle.
     """
 
-    __slots__ = ("period", "arcs")
+    __slots__ = ("period", "arcs", "_floats")
 
     def __init__(self, arcs: Iterable[Tuple], period=1):
         if isinstance(period, (int, float)) and not period > 0:
@@ -68,8 +103,9 @@ class ArcSet:
             zero = 0 * period if not isinstance(period, int) else 0
             self.period = period
             self.arcs = [(zero, period)]
+            self._floats = None
             return
-        pieces.sort(key=lambda arc: arc[0])
+        _sort_by_lo(pieces)
         merged: List[Tuple] = []
         for lo, hi in pieces:
             if merged and lo <= merged[-1][1]:
@@ -79,6 +115,17 @@ class ArcSet:
                 merged.append((lo, hi))
         self.period = period
         self.arcs = merged
+        self._floats = None
+
+    @classmethod
+    def _from_normal_form(cls, arcs: List[Tuple], period) -> "ArcSet":
+        """Wrap arcs that are already sorted, disjoint, non-touching and in
+        [0, period]: the normal form __init__ produces."""
+        out = object.__new__(cls)
+        out.period = period
+        out.arcs = arcs
+        out._floats = None
+        return out
 
     # -- constructors --------------------------------------------------------
 
@@ -120,11 +167,16 @@ class ArcSet:
                 break
         return False
 
+    def _float_endpoints(self) -> Tuple[List[float], List[float]]:
+        """Arc endpoints as floats, converted once per set."""
+        if self._floats is None:
+            self._floats = ([float(lo) for lo, _ in self.arcs], [float(hi) for _, hi in self.arcs])
+        return self._floats
+
     def contains_many(self, xs: Sequence[float]) -> np.ndarray:
-        """Vectorized float membership (endpoints converted once)."""
+        """Vectorized float membership against the float endpoints."""
         v = np.asarray(xs, dtype=float) % float(self.period)
-        los = np.array([float(lo) for lo, _ in self.arcs])
-        his = np.array([float(hi) for _, hi in self.arcs])
+        los, his = (np.array(e, dtype=float) for e in self._float_endpoints())
         if los.size == 0:
             return np.zeros(v.shape, dtype=bool)
         idx = np.searchsorted(los, v, side="right") - 1
@@ -143,26 +195,39 @@ class ArcSet:
         return ArcSet(list(self.arcs) + list(other.arcs), self.period)
 
     def complement(self) -> "ArcSet":
+        """The gaps between consecutive arcs; only the gap that wraps past
+        zero is split, into [0, first lo) and [last hi, period)."""
         if self.is_empty:
             return ArcSet.full(self.period)
         if self.is_full:
             return ArcSet.empty(self.period)
-        gaps = []
-        for k in range(len(self.arcs) - 1):
-            gaps.append((self.arcs[k][1], self.arcs[k + 1][0]))
-        gaps.append((self.arcs[-1][1], self.arcs[0][0] + self.period))
-        return ArcSet(gaps, self.period)
+        arcs = self.arcs
+        gaps = [(arcs[k][1], arcs[k + 1][0]) for k in range(len(arcs) - 1)]
+        first_lo, last_hi = arcs[0][0], arcs[-1][1]
+        if first_lo > 0:
+            gaps.insert(0, (0 * first_lo, first_lo))
+        if last_hi < self.period:
+            gaps.append((last_hi, self.period))
+        return ArcSet._from_normal_form(gaps, self.period)
 
     def intersect(self, other: "ArcSet") -> "ArcSet":
+        """Two-pointer sweep over both sorted arc lists."""
         self._check_same_circle(other)
+        mine, theirs = self.arcs, other.arcs
         out = []
-        for lo1, hi1 in self.arcs:
-            for lo2, hi2 in other.arcs:
-                lo = lo1 if lo1 >= lo2 else lo2
-                hi = hi1 if hi1 <= hi2 else hi2
-                if lo < hi:
-                    out.append((lo, hi))
-        return ArcSet(out, self.period)
+        i = j = 0
+        while i < len(mine) and j < len(theirs):
+            lo1, hi1 = mine[i]
+            lo2, hi2 = theirs[j]
+            lo = lo1 if lo1 >= lo2 else lo2
+            hi = hi1 if hi1 <= hi2 else hi2
+            if lo < hi:
+                out.append((lo, hi))
+            if hi1 <= hi2:
+                i += 1
+            else:
+                j += 1
+        return ArcSet._from_normal_form(out, self.period)
 
     # -- sampling and export ---------------------------------------------------
 
@@ -170,8 +235,8 @@ class ArcSet:
         """Deterministic (seeded-rng) samples strictly inside the arcs,
         at least ``margin`` away from every endpoint."""
         los, his = [], []
-        for lo, hi in self.arcs:
-            flo, fhi = float(lo) + float(margin), float(hi) - float(margin)
+        for lo, hi in zip(*self._float_endpoints()):
+            flo, fhi = lo + float(margin), hi - float(margin)
             if fhi > flo:
                 los.append(flo)
                 his.append(fhi)
@@ -189,7 +254,7 @@ class ArcSet:
             "period": float(self.period),
             "count": self.count,
             "measure": float(self.measure),
-            "arcs": [{"lo": float(lo), "hi": float(hi)} for lo, hi in self.arcs],
+            "arcs": [{"lo": lo, "hi": hi} for lo, hi in zip(*self._float_endpoints())],
         }
 
     def __repr__(self):

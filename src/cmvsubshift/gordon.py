@@ -76,9 +76,14 @@ def bad_arcs(
     q = cf.q[n]
     r = convergent_gap(theta, cf, n)
     arcs = []
+    exact = isinstance(theta, Quadratic)
     for e in endpoints:
+        center = e
         for j in range(1, q + 1):
-            arcs.append(_sweep(e - theta * j, r))
+            # exact centers step by one subtraction; a decimal theta runs at
+            # the ambient mpmath precision, where q steps would add q roundings
+            center = center - theta if exact else e - theta * j
+            arcs.append(_sweep(center, r))
     return ArcSet(arcs, period=1)
 
 

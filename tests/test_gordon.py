@@ -16,7 +16,7 @@ from cmvsubshift.gordon import (
     monte_carlo_measure,
     verify_membership,
 )
-from cmvsubshift.quadratic import GOLDEN_MEAN, Quadratic
+from cmvsubshift.quadratic import GOLDEN_MEAN, SQRT2_MINUS_1, Quadratic
 from cmvsubshift.words import continued_fraction
 
 # theta with partial quotients all 8 -- fast denominator growth makes the
@@ -64,6 +64,37 @@ def test_measure_dominates_bound_along_even_indices():
         bad = bad_arcs(GOLDEN_MEAN, [Quadratic(1) - GOLDEN_MEAN, Quadratic(0)], n)
         assert bad.union(rep.arcs).is_full
         assert float(bad.intersect(rep.arcs).measure) == 0.0
+
+
+def three_gap_measure(theta, n):
+    """Sturmian good-set measure in closed form (Steinhaus / Sos three gaps).
+
+    The q_n + 1 bad-arc centres -j*theta cut the circle into one gap delta_n,
+    q_n - q_{n-1} + 1 gaps delta_{n-1} and q_{n-1} - 1 gaps
+    delta_n + delta_{n-1}, with delta_k = |q_k theta - p_k|.  Arcs of radius
+    delta_n leave max(gap - 2 delta_n, 0) of each gap.
+    """
+    cf = continued_fraction(theta, n + 1)
+    q, q_prev = cf.q[n], cf.q[n - 1]
+    delta = abs(theta * q - cf.p[n])
+    delta_prev = abs(theta * q_prev - cf.p[n - 1])
+    short = max(delta_prev - 2 * delta, Quadratic(0))
+    return (q - q_prev + 1) * short + (q_prev - 1) * (delta_prev - delta)
+
+
+@pytest.mark.parametrize(
+    "theta, n",
+    [pytest.param(GOLDEN_MEAN, n, id=f"golden-{n}") for n in (6, 9, 12, 15, 20)]
+    + [pytest.param(SQRT2_MINUS_1, n, id=f"sqrt2-1-{n}") for n in (4, 7, 8)]
+    + [pytest.param(FAST_THETA, n, id=f"fast-{n}") for n in (3, 4)],
+)
+@pytest.mark.filterwarnings("ignore:q_.* is odd")
+def test_sturmian_measure_matches_three_gap_closed_form(theta, n):
+    rep = gordon_set(theta, n)
+    expected = three_gap_measure(theta, n)
+    assert isinstance(rep.arcs.measure, Quadratic)
+    assert rep.arcs.measure == expected
+    assert rep.measure == float(expected)
 
 
 def test_admissible_phases_pass_membership():

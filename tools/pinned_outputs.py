@@ -7,7 +7,9 @@ Run from the repository root:
 Each config runs in-process through ``cmvsubshift.cli.main``.  The hash
 covers the exit code, stdout, stderr and the ``--curve`` file when the
 config writes one, so two revisions print the same line exactly when they
-produce the same bytes.  ``--dump DIR`` also writes every output to
+produce the same bytes.  The checkout's own location is cut out of stderr
+(warnings name their source file), so checkouts in different directories
+compare equal.  ``--dump DIR`` also writes every output to
 ``DIR/NAME.out`` (and ``DIR/NAME.csv`` for curves) for a closer diff.
 Names given on the command line restrict the run to those configs.
 """
@@ -44,6 +46,11 @@ CONFIGS = [
     ("gordon-sturmian", ["gordon", "--theta", "golden", "--n", "9", "--mc-samples", "2000", "--seed", "3"]),
     ("gordon-coding", ["gordon", "--theta", "sqrt2-1", "--n", "6", "--mode", "coding",
                        "--interval", "1/10", "2/5"]),
+    ("gordon-sqrt2-10", ["gordon", "--theta", "sqrt2-1", "--n", "10"]),
+    ("gordon-golden-16-mc", ["gordon", "--theta", "golden", "--n", "16", "--mc-samples", "100000",
+                             "--seed", "5"]),
+    ("gordon-coding-sqrt2-8-mc", ["gordon", "--theta", "sqrt2-1", "--n", "8", "--mode", "coding",
+                                  "--interval", "2/5", "3/4", "--mc-samples", "100000", "--seed", "5"]),
     ("word-pd", ["word", "--rule", "period-doubling", "--level", "6"]),
     ("word-sturmian", ["word", "--sturmian", "--theta", "golden", "--beta", "1/7", "--range=-20..40"]),
     ("cf", ["cf", "--theta", "sqrt2-1", "--depth", "12"]),
@@ -60,12 +67,15 @@ def run_config(cli, argv, workdir):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
+    # warnings name the source file; drop the checkout's location from them
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    err_text = err.getvalue().replace(package_root + os.sep, "")
     curve = ""
     if curve_path is not None and os.path.exists(curve_path):
         with open(curve_path, encoding="utf-8") as fh:
             curve = fh.read()
         os.remove(curve_path)
-    return code, out.getvalue(), err.getvalue(), curve
+    return code, out.getvalue(), err_text, curve
 
 
 def main(argv=None) -> int:
