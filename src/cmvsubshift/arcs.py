@@ -9,7 +9,9 @@ once; complement and intersection then work on the sorted disjoint arcs
 directly (one pass, no re-sorting), so exact endpoints are never reduced or
 compared more than once.  Floats appear only when a caller asks for them
 (JSON export, sampling, vectorized membership), and each endpoint is
-converted to a float once per set.
+converted to a float once per set.  mpmath endpoints (from a decimal
+rotation number) are reduced and summed at CONVERSION_DPS digits, whatever
+the caller's working precision.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import math
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
+import mpmath
 import numpy as np
 
 from .errors import ValidationError
-from .quadratic import Quadratic
+from .quadratic import CONVERSION_DPS, Quadratic
 
 
 def _reduce(x, period):
@@ -32,7 +35,11 @@ def _reduce(x, period):
         return x.frac()
     if isinstance(x, (Fraction, int)) and period == 1:
         return Fraction(x) - math.floor(Fraction(x))
-    r = x % period
+    if isinstance(x, mpmath.mpf):
+        with mpmath.workdps(CONVERSION_DPS):
+            r = x % period
+    else:
+        r = x % period
     return r if r < period else r - period
 
 
@@ -154,8 +161,9 @@ class ArcSet:
     @property
     def measure(self):
         total = 0
-        for lo, hi in self.arcs:
-            total = total + (hi - lo)
+        with mpmath.workdps(CONVERSION_DPS):
+            for lo, hi in self.arcs:
+                total = total + (hi - lo)
         return total
 
     def contains(self, x) -> bool:

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import NumericAssertionError, ResourceCapError, ValidationError
 from .gordon import gordon_set, monte_carlo_measure
-from .quadratic import Quadratic, parse_theta
+from .quadratic import CONVERSION_DPS, Quadratic, parse_theta
 from .spectrum import (
     DEFAULT_RESOLUTION,
     TAU,
@@ -86,7 +85,6 @@ class RunConfig:
     curve: Optional[str] = None
     output: Optional[str] = None
     seed: int = 0
-    threads: int = 1
 
     def require(self, name: str):
         value = getattr(self, name)
@@ -154,8 +152,6 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
             raise ValidationError("interval needs exactly two endpoints")
         merged["interval"] = tuple(str(x) for x in pair)
     cfg = RunConfig(command=args.command, **merged)
-    if cfg.threads < 1:
-        raise ValidationError("threads must be >= 1")
     if cfg.seed < 0:
         raise ValidationError("seed must be >= 0")
     if cfg.resolution < 8:
@@ -177,7 +173,8 @@ def _parse_phase(text):
     except (ValueError, ZeroDivisionError):
         pass
     try:
-        return mpmath.mpf(str(text))
+        with mpmath.workdps(CONVERSION_DPS):
+            return mpmath.mpf(str(text))
     except ValueError as exc:
         raise ValidationError(f"cannot parse phase {text!r}") from exc
 
@@ -212,15 +209,6 @@ def _emit(text: str, path: Optional[str]) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _parallel_map(fn, items, threads: int) -> list:
-    """Ordered map, fanned out over a thread pool when asked to."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +259,7 @@ def _resolve_periodic(cfg: RunConfig):
 def _write_curve(cfg: RunConfig, sample) -> None:
     """Discriminant samples as CSV: angle, real / imaginary part, band flag."""
     omegas = np.linspace(0.0, TAU, cfg.resolution, endpoint=False)
-    chunks = [c for c in np.array_split(omegas, cfg.threads) if c.size]
-    tr = np.concatenate(_parallel_map(sample, chunks, cfg.threads))
+    tr = sample(omegas)
     in_band = np.abs(real_discriminant(tr)) <= 2.0
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -326,20 +313,17 @@ def cmd_floquet_check(cfg: RunConfig) -> str:
     alphas, meta = _resolve_periodic(cfg)
     if cfg.phi_count < 1:
         raise ValidationError("phi-count must be >= 1")
-    angles = [TAU * k / cfg.phi_count for k in range(cfg.phi_count)]
-
-    def check(angle: float) -> dict:
-        return floquet_discriminant_residual(alphas, complex(np.exp(1j * angle)))
-
-    results = _parallel_map(check, angles, cfg.threads)
-    rows = [
-        {
-            "phi_angle": angle,
-            "unitarity_defect": res["unitarity_defect"],
-            "worst_residual": res["worst_residual"],
-        }
-        for angle, res in zip(angles, results)
-    ]
+    rows = []
+    for k in range(cfg.phi_count):
+        angle = TAU * k / cfg.phi_count
+        res = floquet_discriminant_residual(alphas, complex(np.exp(1j * angle)))
+        rows.append(
+            {
+                "phi_angle": angle,
+                "unitarity_defect": res["unitarity_defect"],
+                "worst_residual": res["worst_residual"],
+            }
+        )
     payload = {
         "schema": SCHEMA,
         **meta,
@@ -371,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON file with default values for any flag")
     common.add_argument("--output", help="write the result here instead of stdout")
     common.add_argument("--seed", type=int, help="seed for any sampling (default 0)")
-    common.add_argument("--threads", type=int, help="fan grid scans out over N threads")
 
     parser = argparse.ArgumentParser(
         prog="cmvsubshift",

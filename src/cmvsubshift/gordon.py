@@ -14,9 +14,11 @@ one-step shift, so the 2*q_n bad arcs collapse onto q_n + 1 distinct centers
 1 - 2(q_n + 1) r; a generic coding arc keeps 2*q_n arcs and the cruder bound
 1 - 4 q_n / q_{n+1}.
 
-All circle arithmetic runs exactly (quadratic irrationals) or at high decimal
-precision, because r decays exponentially and float endpoints would dissolve
-into rounding noise long before interesting depths.
+All circle arithmetic runs exactly (quadratic irrationals) or, for a decimal
+theta, in mpmath at CONVERSION_DPS = 50 digits (``gordon_set`` sets that
+working precision around the whole construction), because r decays
+exponentially and float endpoints would dissolve into rounding noise long
+before interesting depths.
 """
 
 from __future__ import annotations
@@ -53,38 +55,35 @@ def convergent_gap(theta, cf: ContinuedFraction, n: int):
         return abs(mpmath.mpf(theta) * cf.q[n] - cf.p[n])
 
 
-def _sweep(center, radius):
-    return (center - radius, center + radius)
+def _orbit_sweeps(theta, start, count: int, r) -> list:
+    """Sweeps of radius r around the centers start - j*theta, 1 <= j <= count."""
+    exact = isinstance(theta, Quadratic)
+    sweeps = []
+    center = start
+    for j in range(1, count + 1):
+        # exact centers step by one subtraction; a decimal theta would add one
+        # rounding per step, so each center is computed afresh
+        center = center - theta if exact else start - theta * j
+        sweeps.append((center - r, center + r))
+    return sweeps
 
 
-def bad_arcs(
-    theta,
-    endpoints: Sequence,
-    n: int,
-    cf: Optional[ContinuedFraction] = None,
-    dps: int = CONVERSION_DPS,
-) -> ArcSet:
+def bad_arcs(theta, endpoints: Sequence, n: int, cf: Optional[ContinuedFraction] = None) -> ArcSet:
     """Arcs of phases whose orbit approaches a coding-arc endpoint too fast.
 
     One closed arc of radius r = |q_n*theta - p_n| around every center
     e - j*theta, for each endpoint e and 1 <= j <= q_n.
     """
     if cf is None:
-        cf = continued_fraction(theta, n + 2, dps=dps)
+        cf = continued_fraction(theta, n + 2)
     if n + 1 >= cf.depth:
         raise ValidationError("continued fraction not deep enough for this index")
-    q = cf.q[n]
-    r = convergent_gap(theta, cf, n)
-    arcs = []
-    exact = isinstance(theta, Quadratic)
-    for e in endpoints:
-        center = e
-        for j in range(1, q + 1):
-            # exact centers step by one subtraction; a decimal theta runs at
-            # the ambient mpmath precision, where q steps would add q roundings
-            center = center - theta if exact else e - theta * j
-            arcs.append(_sweep(center, r))
-    return ArcSet(arcs, period=1)
+    with mpmath.workdps(CONVERSION_DPS):
+        r = convergent_gap(theta, cf, n)
+        sweeps = []
+        for e in endpoints:
+            sweeps += _orbit_sweeps(theta, e, cf.q[n], r)
+        return ArcSet(sweeps, period=1)
 
 
 @dataclass(frozen=True)
@@ -117,40 +116,34 @@ class GordonReport:
         }
 
 
-def _coding_endpoints(theta, mode: str, interval: Optional[Tuple]) -> list:
-    if mode == "sturmian":
-        if interval is not None:
-            raise ValidationError("sturmian mode fixes the coding arc; drop the interval")
-        one = Quadratic(1) if isinstance(theta, Quadratic) else mpmath.mpf(1)
-        return [one - theta, 0 * theta]
-    if mode == "coding":
-        if interval is None:
-            raise ValidationError("coding mode needs the arc endpoints")
-        lo, hi = interval
-        return [lo, hi]
-    raise ValidationError(f"mode must be one of {MODES}")
-
-
 def gordon_set(
     theta,
     n: int,
     mode: str = "sturmian",
     interval: Optional[Tuple] = None,
-    dps: int = CONVERSION_DPS,
 ) -> GordonReport:
     """Admissible phases at index n, their exact measure, and the lower bound."""
-    cf = continued_fraction(theta, n + 2, dps=dps)
-    q, q_next = cf.q[n], cf.q[n + 1]
-    endpoints = _coding_endpoints(theta, mode, interval)
-    bad = bad_arcs(theta, endpoints, n, cf=cf, dps=dps)
-    good = bad.complement()
-    r = convergent_gap(theta, cf, n)
-    if mode == "sturmian":
-        bound = 1 - 2 * (q + 1) * r
-        kind = "sturmian"
-    else:
-        bound = 1 - Fraction(4 * q, q_next)
-        kind = "rotation-coding"
+    with mpmath.workdps(CONVERSION_DPS):
+        cf = continued_fraction(theta, n + 2)
+        q, q_next = cf.q[n], cf.q[n + 1]
+        r = convergent_gap(theta, cf, n)
+        if mode == "sturmian":
+            if interval is not None:
+                raise ValidationError("sturmian mode fixes the coding arc; drop the interval")
+            # the orbits of the endpoints 1 - theta and 0 share q - 1 centers:
+            # together they are the one orbit {-j*theta : 1 <= j <= q + 1}
+            bad = ArcSet(_orbit_sweeps(theta, 0 * theta, q + 1, r), period=1)
+            bound = 1 - 2 * (q + 1) * r
+            kind = "sturmian"
+        elif mode == "coding":
+            if interval is None:
+                raise ValidationError("coding mode needs the arc endpoints")
+            bad = bad_arcs(theta, interval, n, cf=cf)
+            bound = 1 - Fraction(4 * q, q_next)
+            kind = "rotation-coding"
+        else:
+            raise ValidationError(f"mode must be one of {MODES}")
+        good = bad.complement()
     applicable = q % 2 == 0
     if not applicable:
         warnings.warn(
@@ -177,23 +170,22 @@ def verify_membership(
     n: int,
     mode: str = "sturmian",
     interval: Optional[Tuple] = None,
-    dps: int = CONVERSION_DPS,
 ) -> bool:
     """Check the three-block repetition directly on the coded word.
 
     This is the ground-truth test the arc construction approximates from
     inside: every phase in the admissible arcs must pass it.
     """
-    cf = continued_fraction(theta, n + 1, dps=dps)
+    cf = continued_fraction(theta, n + 1)
     q = cf.q[n]
     if q % 2:
         raise ValidationError("repetition length q_n must be even for the Gordon route")
     if mode == "sturmian":
-        coding = sturmian_coding(theta, beta, dps=dps)
+        coding = sturmian_coding(theta, beta)
     elif mode == "coding":
         if interval is None:
             raise ValidationError("coding mode needs the arc endpoints")
-        coding = RotationCoding(theta, beta, interval[0], interval[1], dps=dps)
+        coding = RotationCoding(theta, beta, interval[0], interval[1])
     else:
         raise ValidationError(f"mode must be one of {MODES}")
     window = coding.window(1 - q, 2 * q)
@@ -228,7 +220,7 @@ class GoldenLimitsReport:
     scaled_gap_error: float
 
 
-def golden_limits(depth: int, dps: int = CONVERSION_DPS) -> GoldenLimitsReport:
+def golden_limits(depth: int) -> GoldenLimitsReport:
     """Denominator growth ratio q_{d+1}/q_d and scaled gap q_d |q_d theta - p_d|.
 
     As the depth grows the ratio approaches the golden ratio (1 + sqrt 5)/2
@@ -238,12 +230,12 @@ def golden_limits(depth: int, dps: int = CONVERSION_DPS) -> GoldenLimitsReport:
     if depth < 1:
         raise ValidationError("depth must be >= 1")
     theta = GOLDEN_MEAN
-    cf = continued_fraction(theta, depth + 2, dps=dps)
-    with mpmath.workdps(dps):
+    cf = continued_fraction(theta, depth + 2)
+    with mpmath.workdps(CONVERSION_DPS):
         ratio = mpmath.mpf(cf.q[depth + 1]) / cf.q[depth]
         ratio_target = (1 + mpmath.sqrt(5)) / 2
         gap = convergent_gap(theta, cf, depth)
-        scaled = cf.q[depth] * gap.to_mpf(dps)
+        scaled = cf.q[depth] * gap.to_mpf()
         scaled_target = 1 / mpmath.sqrt(5)
         return GoldenLimitsReport(
             depth=depth,

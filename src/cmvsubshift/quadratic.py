@@ -40,7 +40,8 @@ from .errors import RationalThetaError, ValidationError
 
 RationalLike = Union[int, Fraction]
 
-# Decimal digits used by to_mpf and by decimal (mpmath) rotation numbers.
+# Decimal digits of all mpmath work: to_mpf's default, and every computation
+# with a decimal (mpmath) rotation number or phase.
 CONVERSION_DPS = 50
 
 # Triples with |A|, |B|, C below 2^FILTER_BITS (and a radicand below 2^53)
@@ -349,19 +350,19 @@ _NAMED_THETAS = {
 }
 
 
-def parse_theta(text: str, dps: int = CONVERSION_DPS):
+def parse_theta(text: str):
     """Parse a rotation number: a named constant or a decimal literal.
 
     Named constants come back as exact Quadratic values; decimals as mpmath
-    floats at ``dps`` digits (the irrationality of such an input can only be
-    certified up to working precision -- the continued-fraction routine
-    applies that guard).
+    floats at CONVERSION_DPS digits (the irrationality of such an input can
+    only be certified up to working precision -- the continued-fraction
+    routine applies that guard).
     """
     key = text.strip().lower()
     if key in _NAMED_THETAS:
         return _NAMED_THETAS[key]
     try:
-        with mpmath.workdps(dps):
+        with mpmath.workdps(CONVERSION_DPS):
             val = +mpmath.mpf(key)
     except ValueError:
         raise ValidationError(f"unrecognized rotation number {text!r}") from None
@@ -370,7 +371,7 @@ def parse_theta(text: str, dps: int = CONVERSION_DPS):
     return val
 
 
-def continued_fraction_terms(theta, depth: int, dps: int = CONVERSION_DPS) -> list:
+def continued_fraction_terms(theta, depth: int) -> list:
     """First ``depth`` partial quotients a_0, ..., a_{depth-1} of theta in (0,1).
 
     theta may be exact (Quadratic / Fraction) or an mpmath/float value.  For
@@ -396,11 +397,11 @@ def continued_fraction_terms(theta, depth: int, dps: int = CONVERSION_DPS) -> li
                 )
             x = 1 / x
         return terms
-    with mpmath.workdps(dps):
+    with mpmath.workdps(CONVERSION_DPS):
         x = +mpmath.mpf(theta)
         if not 0 < x < 1:
             raise ValidationError("rotation number must lie strictly between 0 and 1")
-        floor_eps = mpmath.mpf(10) ** (-(dps - 10))
+        floor_eps = mpmath.mpf(10) ** (-(CONVERSION_DPS - 10))
         for k in range(depth):
             a = int(mpmath.floor(x))
             terms.append(a)

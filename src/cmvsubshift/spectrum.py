@@ -23,7 +23,7 @@ import numpy as np
 
 from .arcs import ArcSet
 from .errors import NumericAssertionError, ValidationError
-from .tracemap import trace_a_grid, trace_orbit
+from .tracemap import trace_a_grid
 from .transfer import VerblunskyMap, theta_matrix, transfer_product_grid
 from .words import PERIOD_DOUBLING, SubstitutionRule, fixed_point_prefix
 
@@ -91,33 +91,31 @@ def raw_discriminant_grid(z: np.ndarray, alphas: PeriodicAlphas) -> np.ndarray:
     return prod[0, 0] + prod[1, 1]
 
 
-def real_discriminant(tr: np.ndarray, imag_tol: float = DISC_IMAG_TOL) -> np.ndarray:
+def real_discriminant(tr: np.ndarray) -> np.ndarray:
     """Real part of sampled discriminants, which must be real on |z| = 1.
 
     Complex samples (the product route) fail if their worst relative
-    imaginary part exceeds ``imag_tol``; real samples (the trace route) pass
-    through unchecked.
+    imaginary part exceeds ``DISC_IMAG_TOL``; real samples (the trace route)
+    pass through unchecked.
     """
     if not np.iscomplexobj(tr):
         return tr
     worst = float(np.max(np.abs(tr.imag) / np.maximum(1.0, np.abs(tr))))
-    if worst > imag_tol:
+    if worst > DISC_IMAG_TOL:
         raise NumericAssertionError(
             f"discriminant must be real on the unit circle; worst residual {worst}"
         )
     return tr.real
 
 
-def discriminant_grid(
-    z: np.ndarray, alphas: PeriodicAlphas, imag_tol: float = DISC_IMAG_TOL
-) -> np.ndarray:
+def discriminant_grid(z: np.ndarray, alphas: PeriodicAlphas) -> np.ndarray:
     """Vectorized discriminant over an array of unit-circle points."""
-    return real_discriminant(raw_discriminant_grid(z, alphas), imag_tol)
+    return real_discriminant(raw_discriminant_grid(z, alphas))
 
 
-def discriminant(z: complex, alphas: PeriodicAlphas, imag_tol: float = DISC_IMAG_TOL) -> float:
+def discriminant(z: complex, alphas: PeriodicAlphas) -> float:
     """Trace of the one-period transfer product at one point: a length-1 grid."""
-    return float(discriminant_grid(np.array([complex(z)]), alphas, imag_tol)[0])
+    return float(discriminant_grid(np.array([complex(z)]), alphas)[0])
 
 
 def product_sampler(alphas: PeriodicAlphas) -> Callable[[np.ndarray], np.ndarray]:
@@ -169,13 +167,12 @@ def _bisect_band_edges(
     inside_fn: Callable[[np.ndarray], np.ndarray],
     out_angles: np.ndarray,
     in_angles: np.ndarray,
-    angle_tol: float,
 ):
-    """Shrink brackets (outside angle, inside angle) down to angle_tol."""
+    """Shrink brackets (outside angle, inside angle) down to EDGE_ANGLE_TOL."""
     a = out_angles.astype(float).copy()
     b = in_angles.astype(float).copy()
     for _ in range(64):
-        if np.max(np.abs(b - a)) <= angle_tol:
+        if np.max(np.abs(b - a)) <= EDGE_ANGLE_TOL:
             break
         mid = 0.5 * (a + b)
         mid_in = inside_fn(mid)
@@ -187,14 +184,13 @@ def _bisect_band_edges(
 def band_arcs_from_function(
     disc_fn: Callable[[np.ndarray], np.ndarray],
     resolution: int = DEFAULT_RESOLUTION,
-    angle_tol: float = EDGE_ANGLE_TOL,
-    max_resolution: int = MAX_RESOLUTION,
 ) -> ArcSet:
     """Band arcs {omega : |disc(e^{i omega})| <= 2} for a sampled discriminant.
 
     ``disc_fn`` maps angles to raw samples, which ``real_discriminant``
-    checks.  The grid doubles until the number of bands stabilizes (a cheap
-    tangency fallback), then every edge is bisected to ``angle_tol``.
+    checks.  The grid doubles until the number of bands stabilizes or it
+    reaches ``MAX_RESOLUTION`` (a cheap tangency fallback), then every edge
+    is bisected to ``EDGE_ANGLE_TOL``.
     """
     if resolution < 8:
         raise ValidationError("resolution too small to scan bands")
@@ -209,7 +205,7 @@ def band_arcs_from_function(
         mask = inside(omegas)
         starts, ends = _cyclic_runs(mask)
         count = len(starts)
-        if (count == prev_count and count > 0) or res >= max_resolution or mask.all() or not mask.any():
+        if (count == prev_count and count > 0) or res >= MAX_RESOLUTION or mask.all() or not mask.any():
             break
         prev_count = count
         res *= 2
@@ -222,8 +218,8 @@ def band_arcs_from_function(
     step = TAU / res
     starts = np.asarray(starts)
     ends = np.asarray(ends)
-    left = _bisect_band_edges(inside, (starts - 1) * step, starts * step, angle_tol)
-    right = _bisect_band_edges(inside, (ends + 1) * step, ends * step, angle_tol)
+    left = _bisect_band_edges(inside, (starts - 1) * step, starts * step)
+    right = _bisect_band_edges(inside, (ends + 1) * step, ends * step)
     pairs = []
     for lo, hi in zip(left, right):
         if hi < lo:
@@ -232,31 +228,16 @@ def band_arcs_from_function(
     return ArcSet(pairs, TAU)
 
 
-def spectrum_arcs(
-    alphas: PeriodicAlphas,
-    resolution: int = DEFAULT_RESOLUTION,
-    angle_tol: float = EDGE_ANGLE_TOL,
-    max_resolution: int = MAX_RESOLUTION,
-) -> ArcSet:
+def spectrum_arcs(alphas: PeriodicAlphas, resolution: int = DEFAULT_RESOLUTION) -> ArcSet:
     """Band arcs of a periodic coefficient sequence (product route)."""
-    return band_arcs_from_function(product_sampler(alphas), resolution, angle_tol, max_resolution)
+    return band_arcs_from_function(product_sampler(alphas), resolution)
 
 
 def period_doubling_arcs(
-    level: int,
-    f: VerblunskyMap,
-    resolution: int = DEFAULT_RESOLUTION,
-    angle_tol: float = EDGE_ANGLE_TOL,
-    max_resolution: int = MAX_RESOLUTION,
+    level: int, f: VerblunskyMap, resolution: int = DEFAULT_RESOLUTION
 ) -> ArcSet:
     """Band arcs of the level-n period-doubling approximant (trace route)."""
-    disc = discriminant_sampler(PERIOD_DOUBLING, level, f)
-    return band_arcs_from_function(disc, resolution, angle_tol, max_resolution)
-
-
-def period_doubling_discriminant(z: complex, f: VerblunskyMap, level: int) -> float:
-    """Scalar discriminant of the level-n period-doubling approximant."""
-    return trace_orbit(z, f, level).trace_a_at(level)
+    return band_arcs_from_function(discriminant_sampler(PERIOD_DOUBLING, level, f), resolution)
 
 
 # ---------------------------------------------------------------------------

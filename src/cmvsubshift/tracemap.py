@@ -152,23 +152,18 @@ def iterate_traces(x, y, coupling: float, levels: int):
         yield x, y
 
 
-def trace_orbit(
-    z: complex,
-    f: VerblunskyMap,
-    levels: int,
-    imag_tol: float = IMAG_TOL,
-) -> TraceOrbit:
+def trace_orbit(z: complex, f: VerblunskyMap, levels: int) -> TraceOrbit:
     """Traces of both block families at z, levels 1..N, via the recursion.
 
     The level-1 traces come from actual matrix products and must be real up
-    to ``imag_tol`` (scaled by magnitude); a violation raises, since it would
+    to ``IMAG_TOL`` (scaled by magnitude); a violation raises, since it would
     mean the spectral parameter or coefficients are invalid.
     """
     block_a, block_b = level_one_blocks(z, f)
     x1, y1 = block_a.trace, block_b.trace
     residual = max(abs(x1.imag), abs(y1.imag))
     scale = max(1.0, abs(x1), abs(y1))
-    if residual > imag_tol * scale:
+    if residual > IMAG_TOL * scale:
         raise NumericAssertionError(
             f"level-1 traces should be real; imaginary residual {residual}"
         )

@@ -135,17 +135,12 @@ class TransferMatrix2:
         return float(np.linalg.norm(self.mat, 2))
 
 
-def gz_step(alpha: complex, z: complex, parity: Union[int, str]) -> TransferMatrix2:
-    """Single-site transfer matrix at a site of the given index parity.
+def gz_step(alpha: complex, z: complex, n: int) -> TransferMatrix2:
+    """Single-site transfer matrix at site index n (only its parity matters).
 
-    ``parity`` may be the site index itself (its parity is used) or one of
-    the strings "odd" / "even".  The entries are those of ``gz_step_entries``.
+    The entries are those of ``gz_step_entries``.
     """
-    if isinstance(parity, str):
-        if parity not in ("odd", "even"):
-            raise ValidationError("parity must be 'odd', 'even', or an integer index")
-        parity = 1 if parity == "odd" else 0
-    t00, t01, t10, t11 = gz_step_entries(alpha, _check_unit_z(z), int(parity))
+    t00, t01, t10, t11 = gz_step_entries(alpha, _check_unit_z(z), n)
     return TransferMatrix2(np.array([[t00, t01], [t10, t11]]))
 
 
@@ -304,7 +299,6 @@ def gordon_inequality_check(
     n: int,
     variant: str = "three",
     seed: Sequence[complex] = (1.0, 0.0),
-    verify_blocks: bool = True,
 ) -> GordonCheck:
     """Check the solution-norm lower bound that repetitions force.
 
@@ -323,8 +317,7 @@ def gordon_inequality_check(
     if norm == 0:
         raise ValidationError("seed must be nonzero")
     s = s / norm
-    if verify_blocks:
-        _require_blocks(alphas, n, 2 if variant == "two" else 3)
+    _require_blocks(alphas, n, 2 if variant == "two" else 3)
     lo = -n if variant == "three" else 0
     sol = propagate(alphas, z, s, lo, 2 * n)
     tr = transfer_product(alphas, z, 1, n).trace

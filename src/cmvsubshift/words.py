@@ -161,23 +161,19 @@ def fixed_point_prefix(
 # ---------------------------------------------------------------------------
 
 
-def _as_mpf(x, dps: int):
-    with mpmath.workdps(dps):
+def _as_mpf(x):
+    with mpmath.workdps(CONVERSION_DPS):
         if isinstance(x, Quadratic):
-            return x.to_mpf(dps)
+            return x.to_mpf()
         if isinstance(x, Fraction):
             return mpmath.mpf(x.numerator) / x.denominator
         return +mpmath.mpf(x)
 
 
-def _circle_value(x, dps: int):
-    """Reduce a circle coordinate to [0, 1), exactly when possible."""
-    if isinstance(x, Quadratic):
-        return x.frac()
-    if isinstance(x, (int, Fraction)):
-        return Quadratic(x).frac()
-    with mpmath.workdps(dps):
-        v = _as_mpf(x, dps)
+def _circle_value(x):
+    """Reduce a circle coordinate to [0, 1) in mpmath."""
+    with mpmath.workdps(CONVERSION_DPS):
+        v = _as_mpf(x)
         return v - mpmath.floor(v)
 
 
@@ -188,7 +184,7 @@ class RotationCoding:
     ``letter_in`` when the point lands in [lo, hi) (interpreted with
     wraparound when lo > hi) and ``letter_out`` otherwise.  With exact
     (quadratic-irrational) inputs every membership test is exact; otherwise
-    arithmetic runs in mpmath at ``dps`` digits.
+    arithmetic runs in mpmath at CONVERSION_DPS digits.
     """
 
     def __init__(
@@ -199,27 +195,24 @@ class RotationCoding:
         hi,
         letter_in: str = "a",
         letter_out: str = "b",
-        dps: int = CONVERSION_DPS,
     ):
         if letter_in not in ALPHABET or letter_out not in ALPHABET or letter_in == letter_out:
             raise ValidationError("letter map must assign distinct alphabet letters")
-        self.dps = dps
         exact = isinstance(theta, Quadratic)
         if exact and theta.is_rational:
             raise ValidationError("rotation number must be irrational")
         if exact:
             theta_v = theta.frac()
-            beta_v = _circle_value(self._exactify(beta), dps)
-            lo_v = _circle_value(self._exactify(lo), dps)
+            beta_v = self._exactify(beta).frac()
+            lo_v = self._exactify(lo).frac()
             hi_raw = self._exactify(hi)
-            hi_v = Quadratic(1) if hi_raw == Quadratic(1) else _circle_value(hi_raw, dps)
+            hi_v = Quadratic(1) if hi_raw == Quadratic(1) else hi_raw.frac()
         else:
-            with mpmath.workdps(dps):
-                theta_v = _circle_value(_as_mpf(theta, dps), dps)
-                beta_v = _circle_value(_as_mpf(beta, dps), dps)
-                lo_v = _circle_value(_as_mpf(lo, dps), dps)
-                hi_f = _as_mpf(hi, dps)
-                hi_v = hi_f if hi_f == 1 else _circle_value(hi_f, dps)
+            theta_v = _circle_value(theta)
+            beta_v = _circle_value(beta)
+            lo_v = _circle_value(lo)
+            hi_f = _as_mpf(hi)
+            hi_v = hi_f if hi_f == 1 else _circle_value(hi_f)
         if lo_v == hi_v:
             raise ValidationError("coding arc must have positive length")
         self.exact = exact
@@ -244,7 +237,7 @@ class RotationCoding:
         """Circle point n*theta + beta reduced to [0, 1)."""
         if self.exact:
             return (self.theta * n + self.beta).frac()
-        with mpmath.workdps(self.dps):
+        with mpmath.workdps(CONVERSION_DPS):
             v = self.theta * n + self.beta
             return v - mpmath.floor(v)
 
@@ -262,12 +255,12 @@ class RotationCoding:
         return Window([self.letter(n) for n in range(lo, hi + 1)], lo)
 
 
-def sturmian_coding(theta, beta, dps: int = CONVERSION_DPS) -> RotationCoding:
+def sturmian_coding(theta, beta) -> RotationCoding:
     """The Sturmian coding: arc [1 - theta, 1), inside letter 'a'."""
-    one_minus = (
-        Quadratic(1) - theta if isinstance(theta, Quadratic) else 1 - mpmath.mpf(theta)
-    )
-    return RotationCoding(theta, beta, one_minus, 1, dps=dps)
+    if isinstance(theta, Quadratic):
+        return RotationCoding(theta, beta, Quadratic(1) - theta, 1)
+    with mpmath.workdps(CONVERSION_DPS):
+        return RotationCoding(theta, beta, 1 - mpmath.mpf(theta), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +291,9 @@ class ContinuedFraction:
         return Fraction(self.p[n], self.q[n])
 
 
-def continued_fraction(theta, depth: int, dps: int = CONVERSION_DPS) -> ContinuedFraction:
+def continued_fraction(theta, depth: int) -> ContinuedFraction:
     """Expand theta in (0,1) to the given depth (number of stored indices)."""
-    terms = continued_fraction_terms(theta, depth, dps=dps)
+    terms = continued_fraction_terms(theta, depth)
     a = list(terms)
     p = [1] * depth
     q = [0] * depth

@@ -184,20 +184,6 @@ def test_config_file_merging(capsys, tmp_path):
     assert code == 2 and "no_such_key" in err
 
 
-def test_threads_do_not_change_output(capsys, tmp_path):
-    curves = []
-    for threads in ("1", "3"):
-        path = tmp_path / f"curve{threads}.csv"
-        code, _, _ = run_cli(
-            capsys,
-            "spectrum", "--free", "--period", "6", "--resolution", "1024",
-            "--curve", str(path), "--threads", threads,
-        )
-        assert code == 0
-        curves.append(path.read_text())
-    assert curves[0] == curves[1]
-
-
 def test_output_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "cf.json"
     code, out, _ = run_cli(

@@ -16,7 +16,7 @@ from cmvsubshift.gordon import (
     monte_carlo_measure,
     verify_membership,
 )
-from cmvsubshift.quadratic import GOLDEN_MEAN, SQRT2_MINUS_1, Quadratic
+from cmvsubshift.quadratic import GOLDEN_MEAN, SQRT2_MINUS_1, Quadratic, parse_theta
 from cmvsubshift.words import continued_fraction
 
 # theta with partial quotients all 8 -- fast denominator growth makes the
@@ -118,6 +118,19 @@ def test_exact_and_mpf_routes_agree():
     assert approx.arcs.count == exact.arcs.count
     assert approx.measure == pytest.approx(exact.measure, abs=1e-12)
     assert approx.bound == pytest.approx(exact.bound, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [12, 20, 24])
+@pytest.mark.filterwarnings("ignore:q_.* is odd")
+def test_decimal_theta_runs_at_conversion_precision(n):
+    # 55 digits of the golden mean: at 50 working digits the decimal route
+    # lands on the exact route's floats; at 15 digits it drifts in the 9th
+    decimal = parse_theta("0.6180339887498948482045868343656381177203091798057628621")
+    approx = gordon_set(decimal, n)
+    exact = gordon_set(GOLDEN_MEAN, n)
+    assert approx.measure == exact.measure
+    assert approx.arcs.count == exact.arcs.count
+    assert approx.arcs.as_dict() == exact.arcs.as_dict()
 
 
 def test_odd_denominator_flags_inapplicable():

@@ -105,6 +105,6 @@ def test_continued_fraction_terms_exact():
 def test_continued_fraction_terms_mpf_matches_exact():
     with mpmath.workdps(50):
         th = (mpmath.sqrt(5) - 1) / 2
-    assert continued_fraction_terms(th, 30, dps=50) == [0] + [1] * 29
+    assert continued_fraction_terms(th, 30) == [0] + [1] * 29
     with pytest.raises(RationalThetaError):
         continued_fraction_terms(0.5, 4)

@@ -14,11 +14,10 @@ from cmvsubshift.spectrum import (
     discriminant_grid,
     floquet_discriminant_residual,
     period_doubling_arcs,
-    period_doubling_discriminant,
     periodic_approximant,
     spectrum_arcs,
 )
-from cmvsubshift.tracemap import trace_bound_check
+from cmvsubshift.tracemap import trace_bound_check, trace_orbit
 from cmvsubshift.transfer import VerblunskyMap, transfer_product, unit_point
 from cmvsubshift.words import FIBONACCI, PERIOD_DOUBLING
 
@@ -93,7 +92,7 @@ def test_free_case_band_is_the_whole_circle():
 
 def test_band_edges_are_located_precisely():
     a = 0.5
-    arcs = spectrum_arcs(PeriodicAlphas((a, a)), resolution=4096, angle_tol=1e-12)
+    arcs = spectrum_arcs(PeriodicAlphas((a, a)), resolution=4096)
     # band edge at cos(omega) = 1 - 2 a^2 = 1/2, i.e. omega = pi/3
     edges = sorted(float(lo) for lo, _ in arcs.arcs)
     assert min(abs(e - math.pi / 3) for e in edges) < 1e-9
@@ -120,7 +119,7 @@ def test_period_doubling_scalar_discriminant_matches_product():
         al = periodic_approximant(PERIOD_DOUBLING, level, f)
         for om in rng.uniform(0, TAU, 3):
             z = unit_point(om)
-            assert period_doubling_discriminant(z, f, level) == pytest.approx(
+            assert trace_orbit(z, f, level).trace_a_at(level) == pytest.approx(
                 discriminant(z, al), rel=1e-9, abs=1e-9
             )
 
@@ -180,5 +179,5 @@ def test_trace_bound_connection():
     omegas = arcs.sample_interior(25, 1e-7, rng)
     for om in omegas:
         z = unit_point(om)
-        assert abs(period_doubling_discriminant(z, f, 8)) <= 2 + 1e-6
+        assert abs(trace_orbit(z, f, 8).trace_a_at(8)) <= 2 + 1e-6
         assert trace_bound_check(z, f, 7).ok

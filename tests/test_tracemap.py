@@ -8,7 +8,6 @@ import pytest
 
 from cmvsubshift.errors import NumericAssertionError, ValidationError
 from cmvsubshift.tracemap import (
-    IMAG_TOL,
     block_matrix,
     classify_orbit,
     coupling_constant,
@@ -163,13 +162,12 @@ def test_grid_traces_match_scalar_orbit():
 
 def test_reality_assertion_is_live():
     # |z| = 1 + 9e-9 leaves the unit circle: the level-1 traces there carry an
-    # imaginary part of about 1.4e-8, which both the default tolerance and a
-    # zero tolerance must reject; on the circle the default tolerance passes
+    # imaginary part of about 1.4e-8, which the tolerance must reject; on the
+    # circle it passes
     f = VerblunskyMap(0.4j, 0.2)
     off_circle = unit_point(0.7) * (1 + 9e-9)
-    for tol in (IMAG_TOL, 0.0):
-        with pytest.raises(NumericAssertionError):
-            trace_orbit(off_circle, f, 3, imag_tol=tol)
+    with pytest.raises(NumericAssertionError):
+        trace_orbit(off_circle, f, 3)
     trace_orbit(unit_point(0.7), f, 3)
 
 

@@ -132,6 +132,18 @@ def test_coding_arc_membership_is_half_open():
         RotationCoding(Quadratic(Fraction(2, 5)), 0, 0, Fraction(1, 2))
 
 
+@pytest.mark.parametrize("quadratic", [GOLDEN_MEAN, SQRT2_MINUS_1])
+def test_decimal_sturmian_coding_resolves_its_endpoint(quadratic):
+    # the arc [1 - theta, 1) of a decimal theta is set at 50 digits, so a
+    # phase on its left endpoint reads inside and one 1e-40 below reads outside
+    theta = quadratic.to_mpf()
+    with mpmath.workdps(50):
+        on_edge = 1 - theta
+        below = on_edge - mpmath.mpf(10) ** -40
+    assert sturmian_coding(theta, on_edge).letter(0) == "a"
+    assert sturmian_coding(theta, below).letter(0) == "b"
+
+
 def test_window_block_checks():
     w = Window(list("abab" * 3), 1)
     assert check_two_block(w, 2)

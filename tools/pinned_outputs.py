@@ -7,8 +7,9 @@ Run from the repository root:
 Each config runs in-process through ``cmvsubshift.cli.main``.  The hash
 covers the exit code, stdout, stderr and the ``--curve`` file when the
 config writes one, so two revisions print the same line exactly when they
-produce the same bytes.  The checkout's own location is cut out of stderr
-(warnings name their source file), so checkouts in different directories
+produce the same bytes.  Warnings in stderr name their source file and line;
+the checkout's own location and the line number are cut out, so checkouts in
+different directories, and edits that only move the warning's call site,
 compare equal.  ``--dump DIR`` also writes every output to
 ``DIR/NAME.out`` (and ``DIR/NAME.csv`` for curves) for a closer diff.
 Names given on the command line restrict the run to those configs.
@@ -21,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import sys
 import tempfile
 
@@ -54,6 +56,8 @@ CONFIGS = [
     ("word-pd", ["word", "--rule", "period-doubling", "--level", "6"]),
     ("word-sturmian", ["word", "--sturmian", "--theta", "golden", "--beta", "1/7", "--range=-20..40"]),
     ("cf", ["cf", "--theta", "sqrt2-1", "--depth", "12"]),
+    ("gordon-decimal-golden-20", ["gordon", "--theta", "0.6180339887498948482045868343656381177203091798057628621",
+                                  "--n", "20"]),
 ]
 
 
@@ -70,6 +74,7 @@ def run_config(cli, argv, workdir):
     # warnings name the source file; drop the checkout's location from them
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     err_text = err.getvalue().replace(package_root + os.sep, "")
+    err_text = re.sub(r"^(\S+\.py):\d+:", r"\1:", err_text, flags=re.MULTILINE)
     curve = ""
     if curve_path is not None and os.path.exists(curve_path):
         with open(curve_path, encoding="utf-8") as fh:
