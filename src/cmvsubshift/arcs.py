@@ -28,18 +28,18 @@ from .quadratic import CONVERSION_DPS, Quadratic
 
 
 def _reduce(x, period):
-    """x modulo period, in [0, period)."""
+    """x modulo period, in [0, period).
+
+    mpmath values reduce at the working precision, which every caller holds
+    at CONVERSION_DPS.
+    """
     if isinstance(x, Quadratic):
         if period != 1:
             raise ValidationError("exact endpoints require period 1")
         return x.frac()
     if isinstance(x, (Fraction, int)) and period == 1:
         return Fraction(x) - math.floor(Fraction(x))
-    if isinstance(x, mpmath.mpf):
-        with mpmath.workdps(CONVERSION_DPS):
-            r = x % period
-    else:
-        r = x % period
+    r = x % period
     return r if r < period else r - period
 
 
@@ -51,16 +51,26 @@ def _approx_lo(arc):
     return arc[0].approx
 
 
-def _sort_by_lo(pieces: List[Tuple]) -> None:
-    """Sort arcs by their lower endpoint, in place.
+def _float_then_exact_lo(arc):
+    return (float(arc[0]), arc[0])
 
-    Exact Quadratic endpoints are sorted filter-then-verify: by their float
-    approximations first, then by one insertion pass with exact comparisons,
-    which puts right the few neighbours whose approximations tie or cross.
-    The insertion pass alone gives the exact order; the float sort only makes
-    it take about n comparisons instead of n log n.
+
+def _sort_by_lo(pieces: List[Tuple]) -> None:
+    """Sort arcs by their lower endpoint, in place, filter-then-verify.
+
+    Exact Quadratic endpoints are sorted by their float approximations
+    first, then by one insertion pass with exact comparisons, which puts
+    right the few neighbours whose approximations tie or cross.  The
+    insertion pass alone gives the exact order; the float sort only makes it
+    take about n comparisons instead of n log n.  mpmath endpoints sort on
+    (nearest float, value): rounding to nearest is monotone, so the float
+    decides every pair it tells apart and only float ties compare in mpmath.
     """
-    if not (pieces and isinstance(pieces[0][0], Quadratic)):
+    first = pieces[0][0] if pieces else None
+    if isinstance(first, mpmath.mpf):
+        pieces.sort(key=_float_then_exact_lo)
+        return
+    if not isinstance(first, Quadratic):
         pieces.sort(key=_lo)
         return
     pieces.sort(key=_approx_lo)
@@ -90,22 +100,23 @@ class ArcSet:
             raise ValidationError("period must be positive")
         pieces: List[Tuple] = []
         full = False
-        for lo, hi in arcs:
-            span = hi - lo
-            if span < 0 or (isinstance(span, float) and not math.isfinite(span)):
-                raise ValidationError("arc sweep must be non-negative and finite")
-            if span == 0:
-                continue
-            if span >= period:
-                full = True
-                break
-            lo_r = _reduce(lo, period)
-            hi_r = lo_r + span
-            if hi_r <= period:
-                pieces.append((lo_r, hi_r))
-            else:
-                pieces.append((lo_r, period))
-                pieces.append((0 * span, hi_r - period))
+        with mpmath.workdps(CONVERSION_DPS):
+            for lo, hi in arcs:
+                span = hi - lo
+                if span < 0 or (isinstance(span, float) and not math.isfinite(span)):
+                    raise ValidationError("arc sweep must be non-negative and finite")
+                if span == 0:
+                    continue
+                if span >= period:
+                    full = True
+                    break
+                lo_r = _reduce(lo, period)
+                hi_r = lo_r + span
+                if hi_r <= period:
+                    pieces.append((lo_r, hi_r))
+                else:
+                    pieces.append((lo_r, period))
+                    pieces.append((0 * span, hi_r - period))
         if full:
             zero = 0 * period if not isinstance(period, int) else 0
             self.period = period
@@ -167,7 +178,8 @@ class ArcSet:
         return total
 
     def contains(self, x) -> bool:
-        v = _reduce(x, self.period)
+        with mpmath.workdps(CONVERSION_DPS):
+            v = _reduce(x, self.period)
         for lo, hi in self.arcs:
             if lo <= v < hi:
                 return True

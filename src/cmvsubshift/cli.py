@@ -31,11 +31,10 @@ from .spectrum import (
     TAU,
     PeriodicAlphas,
     band_arcs_from_function,
+    discriminant_grid,
     discriminant_sampler,
     floquet_discriminant_residual,
     periodic_approximant,
-    product_sampler,
-    real_discriminant,
 )
 from .tracemap import trace_orbit
 from .transfer import VerblunskyMap
@@ -257,22 +256,24 @@ def _resolve_periodic(cfg: RunConfig):
 
 
 def _write_curve(cfg: RunConfig, sample) -> None:
-    """Discriminant samples as CSV: angle, real / imaginary part, band flag."""
+    """Discriminant samples as CSV: angle, value, imaginary part (0.0: the
+    discriminant is real by construction), band flag."""
     omegas = np.linspace(0.0, TAU, cfg.resolution, endpoint=False)
-    tr = sample(omegas)
-    in_band = np.abs(real_discriminant(tr)) <= 2.0
+    disc = sample(omegas)
+    in_band = np.abs(disc) <= 2.0
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["angle", "disc_real", "disc_imag", "in_band"])
-    for omega, value, flag in zip(omegas, tr, in_band):
-        writer.writerow([repr(float(omega)), repr(float(value.real)), repr(float(value.imag)), int(flag)])
+    for omega, value, flag in zip(omegas, disc, in_band):
+        writer.writerow([repr(float(omega)), repr(float(value)), "0.0", int(flag)])
     _emit(buf.getvalue(), cfg.curve)
 
 
 def cmd_spectrum(cfg: RunConfig) -> str:
     alphas, meta = _resolve_periodic(cfg)
     if cfg.free:
-        sample = product_sampler(alphas)
+        def sample(omegas):
+            return discriminant_grid(np.exp(1j * omegas), alphas)
     else:
         sample = discriminant_sampler(_named_rule(cfg.rule), cfg.level, cfg.verblunsky())
     arcs = band_arcs_from_function(sample, cfg.resolution)

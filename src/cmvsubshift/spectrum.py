@@ -7,10 +7,13 @@ discriminants, extracts the band arcs by adaptive grid scanning plus
 bisection on |disc| = 2, and builds the finite q x q Floquet operator whose
 eigenvalues give the exact band correspondence disc(z0) = phi + 1/phi.
 
-Every discriminant, scalar or over a grid, comes from the product kernel
-``transfer_product_grid``, except that ``discriminant_sampler`` -- the one
-place a route is chosen -- sends period-doubling approximants through the
-trace recursion.  ``real_discriminant`` is the one reality check.
+Every discriminant comes from the pair-form product of ``transfer`` and is
+real by construction; its one check is the determinant drift in
+``pair_trace``.  ``discriminant_sampler`` is the one place a band-scan route
+is chosen: period-doubling approximants run the trace recursion, every other
+rule the substitution blocks of ``substitution_discriminant``.  A periodic
+sequence given by its values (``discriminant_grid``, ``spectrum_arcs``,
+the Floquet cross-check) runs the per-site fold ``pair_product``.
 """
 
 from __future__ import annotations
@@ -22,16 +25,16 @@ from typing import Callable
 import numpy as np
 
 from .arcs import ArcSet
-from .errors import NumericAssertionError, ValidationError
+from .errors import ValidationError
 from .tracemap import trace_a_grid
-from .transfer import VerblunskyMap, theta_matrix, transfer_product_grid
+from .transfer import VerblunskyMap, gz_pair, pair_mul, pair_product, pair_trace, theta_matrix
 from .words import PERIOD_DOUBLING, SubstitutionRule, fixed_point_prefix
 
 TAU = 2.0 * math.pi
-DISC_IMAG_TOL = 1e-9
 DEFAULT_RESOLUTION = 1 << 14
 MAX_RESOLUTION = 1 << 20
 EDGE_ANGLE_TOL = 1e-10
+CHUNK = 1 << 14  # angles per block evaluation: keeps the blocks in cache
 
 
 @dataclass(frozen=True)
@@ -84,33 +87,10 @@ def _require_even_period(alphas: PeriodicAlphas) -> int:
     return q
 
 
-def raw_discriminant_grid(z: np.ndarray, alphas: PeriodicAlphas) -> np.ndarray:
-    """One-period product trace over an array of points, before the reality check."""
-    q = _require_even_period(alphas)
-    prod = transfer_product_grid(alphas.alpha, np.asarray(z, dtype=complex), 1, q)
-    return prod[0, 0] + prod[1, 1]
-
-
-def real_discriminant(tr: np.ndarray) -> np.ndarray:
-    """Real part of sampled discriminants, which must be real on |z| = 1.
-
-    Complex samples (the product route) fail if their worst relative
-    imaginary part exceeds ``DISC_IMAG_TOL``; real samples (the trace route)
-    pass through unchecked.
-    """
-    if not np.iscomplexobj(tr):
-        return tr
-    worst = float(np.max(np.abs(tr.imag) / np.maximum(1.0, np.abs(tr))))
-    if worst > DISC_IMAG_TOL:
-        raise NumericAssertionError(
-            f"discriminant must be real on the unit circle; worst residual {worst}"
-        )
-    return tr.real
-
-
 def discriminant_grid(z: np.ndarray, alphas: PeriodicAlphas) -> np.ndarray:
-    """Vectorized discriminant over an array of unit-circle points."""
-    return real_discriminant(raw_discriminant_grid(z, alphas))
+    """One-period discriminant over an array of unit-circle points (per-site fold)."""
+    q = _require_even_period(alphas)
+    return pair_trace(pair_product(alphas.alpha, z, 1, q), q)
 
 
 def discriminant(z: complex, alphas: PeriodicAlphas) -> float:
@@ -118,11 +98,58 @@ def discriminant(z: complex, alphas: PeriodicAlphas) -> float:
     return float(discriminant_grid(np.array([complex(z)]), alphas)[0])
 
 
-def product_sampler(alphas: PeriodicAlphas) -> Callable[[np.ndarray], np.ndarray]:
-    """Raw one-period product trace as a function of angles omega."""
+def substitution_discriminant(
+    rule: SubstitutionRule, level: int, f: VerblunskyMap
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Discriminant of the level-n approximant from pair-form substitution blocks.
+
+    The product over S^m(c) from a site of parity p is the product of the
+    level m-1 blocks of the letters of S(c), each keyed by its letter and
+    the parity of its first site.  Only the keys the top block reaches are
+    built, one level at a time, so a point costs O(level * |S|) pair
+    products instead of O(q).  A prefix of odd length q runs as two copies,
+    the second from the even site q+1, as in ``periodic_approximant``.
+    """
+    if level < 2:
+        raise ValidationError("approximant level must be >= 2")
+    lengths = [{"a": 1, "b": 1}]
+    for _ in range(level):
+        lengths.append({c: sum(lengths[-1][d] for d in rule.image(c)) for c in "ab"})
+    q = lengths[level]["a"]
+    period = q if q % 2 == 0 else 2 * q
+    keys = [{("a", 1)} if q % 2 == 0 else {("a", 1), ("a", 0)}]  # top down, per level
+    for m in range(level, 0, -1):
+        below = set()
+        for c, parity in keys[-1]:
+            for d in rule.image(c):
+                below.add((d, parity))
+                parity ^= lengths[m - 1][d] & 1
+        keys.append(below)
+    keys.reverse()
+
+    def chunk(z: np.ndarray) -> np.ndarray:
+        blocks = {(c, p): (*gz_pair(f.alpha(c), z, p), 0) for c, p in keys[0]}
+        for m in range(1, level + 1):
+            built = {}
+            for c, first in keys[m]:
+                parity, prod = first, None
+                for d in rule.image(c):
+                    sub = blocks[(d, parity)]
+                    prod = sub if prod is None else pair_mul(sub, prod)
+                    parity ^= lengths[m - 1][d] & 1
+                built[(c, first)] = prod
+            blocks = built
+        prod = blocks[("a", 1)]
+        if q % 2:
+            prod = pair_mul(blocks[("a", 0)], prod)
+        return pair_trace(prod, period)
 
     def sample(omegas: np.ndarray) -> np.ndarray:
-        return raw_discriminant_grid(np.exp(1j * omegas), alphas)
+        omegas = np.asarray(omegas, dtype=float)
+        out = np.empty(len(omegas))
+        for k in range(0, len(omegas), CHUNK):
+            out[k : k + CHUNK] = chunk(np.exp(1j * omegas[k : k + CHUNK]))
+        return out
 
     return sample
 
@@ -130,16 +157,15 @@ def product_sampler(alphas: PeriodicAlphas) -> Callable[[np.ndarray], np.ndarray
 def discriminant_sampler(
     rule: SubstitutionRule, level: int, f: VerblunskyMap
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Raw discriminant of the level-n approximant as a function of angles.
+    """Discriminant of the level-n approximant as a function of angles.
 
     This is where the route is chosen.  Period doubling runs the trace
-    recursion (real arithmetic, O(level) per angle); every other rule
-    multiplies the per-site matrices over one period and returns complex
-    samples for ``real_discriminant`` to check.
+    recursion (real arithmetic, O(level) per angle); every other rule runs
+    the pair-form substitution blocks (also O(level) per angle).
     """
     if rule == PERIOD_DOUBLING:
         return lambda omegas: trace_a_grid(np.exp(1j * omegas), f, level)
-    return product_sampler(periodic_approximant(rule, level, f))
+    return substitution_discriminant(rule, level, f)
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +213,16 @@ def band_arcs_from_function(
 ) -> ArcSet:
     """Band arcs {omega : |disc(e^{i omega})| <= 2} for a sampled discriminant.
 
-    ``disc_fn`` maps angles to raw samples, which ``real_discriminant``
-    checks.  The grid doubles until the number of bands stabilizes or it
-    reaches ``MAX_RESOLUTION`` (a cheap tangency fallback), then every edge
-    is bisected to ``EDGE_ANGLE_TOL``.
+    ``disc_fn`` maps angles to real discriminant samples.  The grid doubles
+    until the number of bands stabilizes or it reaches ``MAX_RESOLUTION`` (a
+    cheap tangency fallback), then every edge is bisected to
+    ``EDGE_ANGLE_TOL``.
     """
     if resolution < 8:
         raise ValidationError("resolution too small to scan bands")
 
     def inside(omegas: np.ndarray) -> np.ndarray:
-        return np.abs(real_discriminant(disc_fn(omegas))) <= 2.0
+        return np.abs(disc_fn(omegas)) <= 2.0
 
     res = int(resolution)
     prev_count = -1
@@ -229,8 +255,12 @@ def band_arcs_from_function(
 
 
 def spectrum_arcs(alphas: PeriodicAlphas, resolution: int = DEFAULT_RESOLUTION) -> ArcSet:
-    """Band arcs of a periodic coefficient sequence (product route)."""
-    return band_arcs_from_function(product_sampler(alphas), resolution)
+    """Band arcs of a periodic coefficient sequence (per-site fold)."""
+
+    def sample(omegas: np.ndarray) -> np.ndarray:
+        return discriminant_grid(np.exp(1j * omegas), alphas)
+
+    return band_arcs_from_function(sample, resolution)
 
 
 def period_doubling_arcs(

@@ -29,8 +29,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import NumericAssertionError, ValidationError
-from .transfer import TransferMatrix2, VerblunskyMap, gz_step, rho_of, transfer_product
-from .words import PERIOD_DOUBLING, substitution_word
+from .transfer import TransferMatrix2, VerblunskyMap, gz_step, rho_of
 
 IMAG_TOL = 1e-9
 MAX_CLASSIFY_LEVELS = 512
@@ -58,28 +57,13 @@ def level_one_blocks(z: complex, f: VerblunskyMap):
     return block_a, block_b
 
 
-def block_matrix(
-    letter: str,
-    level: int,
-    z: complex,
-    f: VerblunskyMap,
-    method: str = "recursion",
-) -> TransferMatrix2:
-    """Ordered transfer product over the level-n substitution image of a letter.
-
-    method "recursion" multiplies blocks pairwise down the substitution tree;
-    method "direct" expands the word and multiplies site by site.  The two
-    must agree, which the test suite exploits.
-    """
+def block_matrix(letter: str, level: int, z: complex, f: VerblunskyMap) -> TransferMatrix2:
+    """Ordered transfer product over the level-n period-doubling image of a
+    letter, multiplied pairwise down the substitution tree."""
     if letter not in ("a", "b"):
         raise ValidationError(f"letter {letter!r} outside alphabet")
     if level < 1:
         raise ValidationError("block level must be >= 1")
-    if method == "direct":
-        word = substitution_word(PERIOD_DOUBLING, letter, level)
-        return transfer_product(lambda n: f.alpha(word.letter(n)), z, 1, len(word))
-    if method != "recursion":
-        raise ValidationError("method must be 'recursion' or 'direct'")
     block_a, block_b = level_one_blocks(z, f)
     for _ in range(level - 1):
         block_a, block_b = block_b @ block_a, block_a @ block_a

@@ -13,10 +13,17 @@ norms of products control spectral behaviour.  Ordered products moving right
 from site 1 (and inverted products moving left from site 0) are the objects
 the trace map, the band computation and the Gordon bounds all consume.
 
-The site formula is written once, in ``gz_step_entries``, and the ordered
-product once, in ``transfer_product_grid``, which runs over an array of
-spectral points; a scalar product is a grid of length 1.  Coefficients come
-from a callable ``n -> alpha(n)`` (``PeriodicAlphas.alpha``, a ``Window``'s
+On |z| = 1 (where 1/z = conj(z)) every site matrix, and so every product of
+them, has the pair form [[a, b], [conj(b), conj(a)]].  The site formula is
+written once, in that form, in ``gz_pair``.  Band scans keep a product as
+the pair (a, b) with a power-of-two exponent per point (``pair_mul``,
+``pair_product``): four complex multiplies per product, a trace 2 Re(a)
+that is real by construction, and determinant drift as the one sanity check
+(``pair_trace``).  ``gz_step_entries`` expands a pair into the four entries
+(with 1/z, so an off-circle z shows up in a trace) for the full-matrix
+product ``transfer_product_grid``, which serves solutions and the Gordon
+bounds; a scalar product is a grid of length 1.  Coefficients come from a
+callable ``n -> alpha(n)`` (``PeriodicAlphas.alpha``, a ``Window``'s
 ``__getitem__``, a lambda).
 """
 
@@ -29,10 +36,16 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericAssertionError, ValidationError
 from .words import Window, Word
 
 UNIT_MODULUS_TOL = 1e-8
+UNIT_ROUNDOFF = 2.0**-53
+RESCALE_ABOVE = 2.0**64
+# Determinant drift of valid products, in units of length * u: up to ~1e3 on
+# uniform scan grids, up to ~2.5e5 at closed-gap Floquet eigenvalues, where
+# sub-blocks grow far beyond the product (CHANGES.md has the distribution).
+DRIFT_PER_SITE = 2.0**20
 
 
 def rho_of(alpha: complex) -> float:
@@ -160,25 +173,34 @@ def transfer_product(alphas: AlphaSource, z: complex, lo: int, hi: int) -> Trans
 
 
 # ---------------------------------------------------------------------------
-# the product kernel
+# the site formula and the product kernels
 # ---------------------------------------------------------------------------
 
 
-def gz_step_entries(alpha: complex, z: np.ndarray, parity: int):
-    """Entries (m00, m01, m10, m11) of the single-site matrix at spectral point(s) z."""
+def gz_pair(alpha: complex, z, parity: int):
+    """First row (a, b) of the single-site matrix at unit-circle point(s) z.
+
+    The matrix is [[a, b], [conj(b), conj(a)]]: a = -conj(alpha)/rho and
+    b = z/rho at odd sites, a = -alpha/rho and b = 1/rho at even sites.
+    """
     r = rho_of(alpha)
     if parity & 1:
-        return (
-            -np.conj(alpha) / r + 0.0 * z,
-            z / r,
-            (1.0 / z) / r,
-            -alpha / r + 0.0 * z,
-        )
-    c = -alpha / r
-    cc = -np.conj(alpha) / r
-    one = 1.0 / r
+        return -np.conj(alpha) / r, z / r
+    return -alpha / r, 1.0 / r
+
+
+def gz_step_entries(alpha: complex, z: np.ndarray, parity: int):
+    """Entries (m00, m01, m10, m11) of the single-site matrix at spectral point(s) z.
+
+    The upper row is ``gz_pair``'s; the lower row is written out, since
+    1/z = conj(z) holds only on the unit circle.
+    """
+    a, b = gz_pair(alpha, z, parity)
+    r = rho_of(alpha)
     zeros = 0.0 * z
-    return (c + zeros, one + zeros, one + zeros, cc + zeros)
+    if parity & 1:
+        return a + zeros, b, (1.0 / z) / r, -alpha / r + zeros
+    return a + zeros, b + zeros, b + zeros, -np.conj(alpha) / r + zeros
 
 
 def transfer_product_grid(alphas: AlphaSource, z: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -198,6 +220,62 @@ def transfer_product_grid(alphas: AlphaSource, z: np.ndarray, lo: int, hi: int) 
         n11 = t10 * m01 + t11 * m11
         m00, m01, m10, m11 = n00, n01, n10, n11
     return np.array([[m00, m01], [m10, m11]])
+
+
+# A pair-form product is a triple (a, b, e): the matrix 2^e [[a, b], [conj(b),
+# conj(a)]], with e an integer per point.  Multiplying two costs four complex
+# multiplies; a product whose |a| passes RESCALE_ABOVE is divided by an exact
+# power of two per point, so entries never overflow and rescaling adds no
+# rounding.  Its determinant 4^e (|a|^2 - |b|^2) is (-1)^length.
+
+
+def _rescaled(a, b, e):
+    big = np.abs(a)
+    if not np.max(big) > RESCALE_ABOVE:
+        return a, b, e
+    k = np.maximum(np.frexp(big)[1], 0)
+    scale = np.ldexp(1.0, -k)
+    return a * scale, b * scale, e + k
+
+
+def pair_mul(left, right):
+    """The pair-form product left @ right (right acts first)."""
+    a1, b1, e1 = left
+    a2, b2, e2 = right
+    return _rescaled(a1 * a2 + b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2), e1 + e2)
+
+
+def pair_product(alphas: AlphaSource, z: np.ndarray, lo: int, hi: int):
+    """Pair-form ordered product over sites lo..hi at unit-circle points z."""
+    z = np.asarray(z, dtype=complex)
+    if np.max(np.abs(np.abs(z) - 1.0)) > UNIT_MODULUS_TOL:
+        raise ValidationError("spectral grid must sit on the unit circle")
+    prod = (1.0 + 0j, 0j, 0)
+    for n in range(lo, hi + 1):
+        prod = pair_mul((*gz_pair(complex(alphas(n)), z, n), 0), prod)
+    return prod
+
+
+def pair_trace(prod, length: int) -> np.ndarray:
+    """Trace 2^(e+1) Re(a) of a pair-form product of ``length`` sites.
+
+    It is real by construction.  What is checked is the determinant: the
+    drift | |a|^2 - |b|^2 - (-1)^length 4^-e |, relative to |a|^2 + |b|^2,
+    must stay below DRIFT_PER_SITE * length * u (u = 2^-53) at every point.
+    """
+    a, b, e = prod
+    aa = a.real * a.real + a.imag * a.imag
+    bb = b.real * b.real + b.imag * b.imag
+    det = np.ldexp(-1.0 if length & 1 else 1.0, -2 * np.asarray(e))
+    with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 and nan fail below
+        worst = float(np.max(np.abs(aa - bb - det) / (aa + bb)))
+    bound = DRIFT_PER_SITE * length * UNIT_ROUNDOFF
+    if not worst <= bound:
+        raise NumericAssertionError(
+            f"determinant drift {worst:.3g} of a {length}-site product exceeds {bound:.3g}"
+        )
+    with np.errstate(over="ignore"):
+        return np.ldexp(2.0 * a.real, e)
 
 
 # ---------------------------------------------------------------------------

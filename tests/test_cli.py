@@ -121,6 +121,29 @@ def test_spectrum_odd_approximant_runs_as_double_period(capsys):
             assert gap.min() < 1e-9
 
 
+def test_thue_morse_discriminant_is_real_by_construction(capsys, tmp_path):
+    # exited 3 under a fixed bound on the imaginary part of the product trace
+    curve = tmp_path / "curve.csv"
+    code, out, err = run_cli(
+        capsys, "spectrum", "--rule", "thue-morse", "--level", "8", "--f-a", "0.3", "--f-b=-0.3",
+        "--curve", str(curve),
+    )
+    assert code == 0, err
+    assert json.loads(out)["q"] == 256
+    rows = list(csv.DictReader(curve.open()))
+    assert {row["disc_imag"] for row in rows} == {"0.0"}
+
+
+@pytest.mark.parametrize("rule", ["thue-morse", "fibonacci"])
+def test_planted_wrong_rho_fires_drift_check(capsys, monkeypatch, rule):
+    from cmvsubshift import transfer
+
+    true_rho = transfer.rho_of
+    monkeypatch.setattr(transfer, "rho_of", lambda alpha: 1.001 * true_rho(alpha))
+    code, _, err = run_cli(capsys, "spectrum", "--rule", rule, "--level", "6", "--f-a", "0.3", "--f-b=-0.3")
+    assert code == 3 and "determinant drift" in err
+
+
 def test_gordon_json_matches_library(capsys):
     code, out, _ = run_cli(capsys, "gordon", "--theta", "golden", "--n", "9")
     assert code == 0

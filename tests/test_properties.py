@@ -9,14 +9,16 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmvsubshift.quadratic import Quadratic
-from cmvsubshift.spectrum import PeriodicAlphas, build_floquet, discriminant
-from cmvsubshift.tracemap import block_matrix, classify_orbit, trace_orbit
-from cmvsubshift.transfer import VerblunskyMap, unit_point
+from cmvsubshift.spectrum import PeriodicAlphas, build_floquet, discriminant, substitution_discriminant
+from cmvsubshift.tracemap import classify_orbit, trace_orbit
+from cmvsubshift.transfer import VerblunskyMap, transfer_product, unit_point
+from cmvsubshift.words import FIBONACCI, PERIOD_DOUBLING, THUE_MORSE, fixed_point_prefix, substitution_word
 
 angles = st.floats(0.0, 2 * math.pi, allow_nan=False)
 
@@ -37,7 +39,8 @@ def test_trace_orbit_matches_direct_block_products(f, omega, levels):
     orbit = trace_orbit(z, f, levels)
     for level in range(1, levels + 1):
         for letter, rec in (("a", orbit.trace_a_at(level)), ("b", orbit.trace_b_at(level))):
-            direct = block_matrix(letter, level, z, f, "direct")
+            word = substitution_word(PERIOD_DOUBLING, letter, level)
+            direct = transfer_product(lambda n: f.alpha(word.letter(n)), z, 1, len(word))
             scale = max(1.0, direct.norm())
             assert abs(direct.trace.imag) <= 1e-10 * scale
             assert abs(rec - direct.trace.real) <= 1e-10 * scale
@@ -73,6 +76,68 @@ def test_discriminant_at_floquet_eigenvalues(values, theta):
     phi = unit_point(theta)
     for z0 in build_floquet(alphas, phi).eigenvalues():
         assert abs(discriminant(z0 / abs(z0), alphas) - 2 * math.cos(theta)) < 1e-8
+
+
+@pytest.mark.parametrize("rule", [PERIOD_DOUBLING, THUE_MORSE, FIBONACCI], ids=["pd", "tm", "fib"])
+@PROPERTY
+@given(f=maps, omegas=st.lists(angles, min_size=1, max_size=4), level=st.integers(2, 8))
+def test_substitution_blocks_match_direct_products(rule, f, omegas, level):
+    # Fibonacci prefixes of odd length (levels 2, 3, 5, 6, 8) run as two copies
+    word = fixed_point_prefix(rule, level)
+    if len(word) % 2:
+        word = word + word
+    disc = substitution_discriminant(rule, level, f)(np.array(omegas))
+    for omega, value in zip(omegas, disc):
+        direct = transfer_product(lambda n: f.alpha(word.letter(n)), unit_point(omega), 1, len(word))
+        assert abs(value - direct.trace.real) <= 1e-10 * max(1.0, direct.norm())
+
+
+def _mp_block_trace(rule, level, f, omega, dps=30):
+    """Trace of the level-n prefix product in mpmath: full 2x2 site matrices,
+    multiplied down the substitution tree, no rescaling (mpf exponents are
+    unbounded)."""
+    with mpmath.workdps(dps):
+        z = mpmath.expj(omega)
+
+        def site(letter, odd):
+            a = mpmath.mpc(f.alpha(letter))
+            r = mpmath.sqrt(1 - abs(a) ** 2)
+            if odd:
+                return ((-mpmath.conj(a) / r, z / r), (1 / (z * r), -a / r))
+            return ((-a / r, 1 / r), (1 / r, -mpmath.conj(a) / r))
+
+        def mul(m, n):
+            return tuple(tuple(m[i][0] * n[0][j] + m[i][1] * n[1][j] for j in (0, 1)) for i in (0, 1))
+
+        memo = {}
+
+        def block(letter, m, odd):
+            if (letter, m, odd) not in memo:
+                if m == 0:
+                    memo[letter, m, odd] = site(letter, odd)
+                else:
+                    prod, parity = None, odd
+                    for d in rule.image(letter):
+                        sub = block(d, m - 1, parity)
+                        prod = sub if prod is None else mul(sub, prod)
+                        parity ^= len(substitution_word(rule, d, m - 1)) & 1
+                    memo[letter, m, odd] = prod
+            return memo[letter, m, odd]
+
+        m = block("a", level, 1)
+        return mpmath.re(m[0][0] + m[1][1])
+
+
+def test_thue_morse_level_12_blocks_stay_finite_and_accurate():
+    # unscaled, these blocks reach |a| ~ 4e305 and their |a|^2 overflows
+    f = VerblunskyMap(0.3, -0.3)
+    sample = substitution_discriminant(THUE_MORSE, 12, f)
+    grid = sample(np.arange(1 << 12) * (2 * math.pi / (1 << 12)))
+    assert np.all(np.isfinite(grid)) and np.max(np.abs(grid)) > 1e300
+    omegas = [0.1 + k * math.pi / 4 for k in range(8)]
+    for omega, value in zip(omegas, sample(np.array(omegas))):
+        ref = float(_mp_block_trace(THUE_MORSE, 12, f, omega))
+        assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
 # -- exact quadratic arithmetic against mpmath ---------------------------------

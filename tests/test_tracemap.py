@@ -17,9 +17,16 @@ from cmvsubshift.tracemap import (
     trace_bound_check,
     trace_orbit,
 )
-from cmvsubshift.transfer import VerblunskyMap, unit_point
+from cmvsubshift.transfer import VerblunskyMap, transfer_product, unit_point
+from cmvsubshift.words import PERIOD_DOUBLING, substitution_word
 
 RNG_SEED = 8152026
+
+
+def direct_block(letter, level, z, f):
+    """Site-by-site product over the expanded period-doubling word S^level(letter)."""
+    word = substitution_word(PERIOD_DOUBLING, letter, level)
+    return transfer_product(lambda n: f.alpha(word.letter(n)), z, 1, len(word))
 
 
 def random_map(rng, radius=0.9):
@@ -66,8 +73,8 @@ def test_block_recursion_matches_direct_products():
         z = unit_point(rng.uniform(0, 2 * np.pi))
         for letter in ("a", "b"):
             for level in (1, 2, 4, 6):
-                rec = block_matrix(letter, level, z, f, "recursion").mat
-                dir_ = block_matrix(letter, level, z, f, "direct").mat
+                rec = block_matrix(letter, level, z, f).mat
+                dir_ = direct_block(letter, level, z, f).mat
                 assert np.allclose(rec, dir_, rtol=1e-9, atol=1e-12)
 
 

@@ -41,6 +41,7 @@ CONFIGS = [
     ("spectrum-tm5-curve", ["spectrum", "--rule", "thue-morse", "--level", "5", *COMPLEX_F,
                             "--resolution", "2048", "--curve"]),
     ("spectrum-free", ["spectrum", "--free", "--period", "6", "--resolution", "1024", "--curve"]),
+    ("spectrum-tm8-real", ["spectrum", "--rule", "thue-morse", "--level", "8", "--f-a", "0.3", "--f-b=-0.3"]),
     ("trace-escape", ["trace", "--z", "1", "--f-a", "0.5", "--f-b=-0.5", "--levels", "14"]),
     ("trace-band", ["trace", "--z", "0.6+0.8j", *COMPLEX_F, "--levels", "10"]),
     ("floquet-pd4", ["floquet-check", *PD, "--level", "4", "--phi-count", "8"]),
