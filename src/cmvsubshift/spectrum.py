@@ -13,7 +13,7 @@ real by construction; its one check is the determinant drift in
 is chosen: period-doubling approximants run the trace recursion, every other
 rule the substitution blocks of ``substitution_discriminant``.  A periodic
 sequence given by its values (``discriminant_grid``, ``spectrum_arcs``,
-the Floquet cross-check) runs the per-site fold ``pair_product``.
+the Floquet cross-check) runs the per-site fold ``transfer_product_grid``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,15 @@ import numpy as np
 from .arcs import ArcSet
 from .errors import ValidationError
 from .tracemap import trace_a_grid
-from .transfer import VerblunskyMap, gz_pair, pair_mul, pair_product, pair_trace, theta_matrix
+from .transfer import (
+    UNIT_MODULUS_TOL,
+    VerblunskyMap,
+    gz_pair,
+    pair_mul,
+    pair_trace,
+    theta_matrix,
+    transfer_product_grid,
+)
 from .words import PERIOD_DOUBLING, SubstitutionRule, fixed_point_prefix
 
 TAU = 2.0 * math.pi
@@ -90,7 +98,7 @@ def _require_even_period(alphas: PeriodicAlphas) -> int:
 def discriminant_grid(z: np.ndarray, alphas: PeriodicAlphas) -> np.ndarray:
     """One-period discriminant over an array of unit-circle points (per-site fold)."""
     q = _require_even_period(alphas)
-    return pair_trace(pair_product(alphas.alpha, z, 1, q), q)
+    return pair_trace(transfer_product_grid(alphas.alpha, z, 1, q), q)
 
 
 def discriminant(z: complex, alphas: PeriodicAlphas) -> float:
@@ -303,7 +311,7 @@ def build_floquet(alphas: PeriodicAlphas, phi: complex) -> FloquetOperator:
     if q < 4 or q % 2:
         raise ValidationError("Floquet operator needs an even period >= 4")
     phi = complex(phi)
-    if abs(abs(phi) - 1.0) > 1e-8:
+    if abs(abs(phi) - 1.0) > UNIT_MODULUS_TOL:
         raise ValidationError("Floquet phase must sit on the unit circle")
 
     even_part = np.zeros((q, q), dtype=complex)

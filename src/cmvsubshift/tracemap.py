@@ -17,7 +17,9 @@ escapes, and that escape region is the only instability test used here.
 
 The recursion is written once, in ``iterate_traces``, which runs over arrays
 (a scalar seed is an array of length 1); scalar orbits, grid scans and the
-escape classification all read their levels from it.
+escape classification all read their levels from it.  Its level-1 seed is
+written once too, in closed form, in ``level_one_traces``: the traces are
+real by construction, and no matrix product is formed.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import NumericAssertionError, ValidationError
-from .transfer import TransferMatrix2, VerblunskyMap, gz_step, rho_of
+from .errors import ValidationError
+from .transfer import VerblunskyMap, check_unit_z, rho_of
 
-IMAG_TOL = 1e-9
 MAX_CLASSIFY_LEVELS = 512
 
 
@@ -49,25 +50,19 @@ def _alpha_overlap(f: VerblunskyMap) -> float:
     return (f.alpha_a * np.conj(f.alpha_b)).real
 
 
-def level_one_blocks(z: complex, f: VerblunskyMap):
-    """Transfer products over the level-1 images: S(a) = ab, S(b) = aa."""
-    t1_a = gz_step(f.alpha_a, z, 1)
-    block_a = gz_step(f.alpha_b, z, 2) @ t1_a
-    block_b = gz_step(f.alpha_a, z, 2) @ t1_a
-    return block_a, block_b
+def level_one_traces(z, f: VerblunskyMap):
+    """Traces (x1, y1) of the level-1 blocks S(a) = ab and S(b) = aa at point(s) z.
 
-
-def block_matrix(letter: str, level: int, z: complex, f: VerblunskyMap) -> TransferMatrix2:
-    """Ordered transfer product over the level-n period-doubling image of a
-    letter, multiplied pairwise down the substitution tree."""
-    if letter not in ("a", "b"):
-        raise ValidationError(f"letter {letter!r} outside alphabet")
-    if level < 1:
-        raise ValidationError("block level must be >= 1")
-    block_a, block_b = level_one_blocks(z, f)
-    for _ in range(level - 1):
-        block_a, block_b = block_b @ block_a, block_a @ block_a
-    return block_a if letter == "a" else block_b
+    They reduce to 2(Re(conj(alpha_a) alpha_b) + Re z)/(rho_a rho_b) and
+    2(|alpha_a|^2 + Re z)/rho_a^2, so the whole recursion runs in real
+    arithmetic.
+    """
+    ra, rb = rho_of(f.alpha_a), rho_of(f.alpha_b)
+    cos_part = 2.0 * np.real(z)
+    return (
+        (2.0 * _alpha_overlap(f) + cos_part) / (ra * rb),
+        (2.0 * abs(f.alpha_a) ** 2 + cos_part) / (ra * ra),
+    )
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,6 @@ class TraceOrbit:
     trace_a: np.ndarray
     trace_b: np.ndarray
     z: Optional[complex]
-    imag_residual: float
 
     @property
     def levels(self) -> int:
@@ -137,43 +131,18 @@ def iterate_traces(x, y, coupling: float, levels: int):
 
 
 def trace_orbit(z: complex, f: VerblunskyMap, levels: int) -> TraceOrbit:
-    """Traces of both block families at z, levels 1..N, via the recursion.
-
-    The level-1 traces come from actual matrix products and must be real up
-    to ``IMAG_TOL`` (scaled by magnitude); a violation raises, since it would
-    mean the spectral parameter or coefficients are invalid.
-    """
-    block_a, block_b = level_one_blocks(z, f)
-    x1, y1 = block_a.trace, block_b.trace
-    residual = max(abs(x1.imag), abs(y1.imag))
-    scale = max(1.0, abs(x1), abs(y1))
-    if residual > IMAG_TOL * scale:
-        raise NumericAssertionError(
-            f"level-1 traces should be real; imaginary residual {residual}"
-        )
+    """Traces of both block families at z, levels 1..N, via the recursion."""
+    z = check_unit_z(z)
     coupling = coupling_constant(f)
-    orbit = list(iterate_traces(x1.real, y1.real, coupling, levels))
+    orbit = list(iterate_traces(*level_one_traces(z, f), coupling, levels))
     xs = np.concatenate([x for x, _ in orbit])
     ys = np.concatenate([y for _, y in orbit])
-    return TraceOrbit(coupling, xs, ys, complex(z), residual)
+    return TraceOrbit(coupling, xs, ys, z)
 
 
 def trace_a_grid(z: np.ndarray, f: VerblunskyMap, level: int) -> np.ndarray:
-    """The a-block trace at one level over a grid of spectral points.
-
-    Level-1 traces reduce to 2(Re(conj(alpha_a) alpha_b) + Re z)/(rho_a rho_b)
-    and its b-analogue, so the whole iteration runs in real arithmetic.
-    """
-    z = np.asarray(z, dtype=complex)
-    ra, rb = rho_of(f.alpha_a), rho_of(f.alpha_b)
-    cos_part = 2.0 * z.real
-    orbit = iterate_traces(
-        (2.0 * _alpha_overlap(f) + cos_part) / (ra * rb),
-        (2.0 * abs(f.alpha_a) ** 2 + cos_part) / (ra * ra),
-        coupling_constant(f),
-        level,
-    )
-    for x, _ in orbit:
+    """The a-block trace at one level over a grid of spectral points."""
+    for x, _ in iterate_traces(*level_one_traces(z, f), coupling_constant(f), level):
         pass
     return x
 

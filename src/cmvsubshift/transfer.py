@@ -14,17 +14,16 @@ from site 1 (and inverted products moving left from site 0) are the objects
 the trace map, the band computation and the Gordon bounds all consume.
 
 On |z| = 1 (where 1/z = conj(z)) every site matrix, and so every product of
-them, has the pair form [[a, b], [conj(b), conj(a)]].  The site formula is
-written once, in that form, in ``gz_pair``.  Band scans keep a product as
-the pair (a, b) with a power-of-two exponent per point (``pair_mul``,
-``pair_product``): four complex multiplies per product, a trace 2 Re(a)
-that is real by construction, and determinant drift as the one sanity check
-(``pair_trace``).  ``gz_step_entries`` expands a pair into the four entries
-(with 1/z, so an off-circle z shows up in a trace) for the full-matrix
-product ``transfer_product_grid``, which serves solutions and the Gordon
-bounds; a scalar product is a grid of length 1.  Coefficients come from a
-callable ``n -> alpha(n)`` (``PeriodicAlphas.alpha``, a ``Window``'s
-``__getitem__``, a lambda).
+them, has the pair form [[a, b], [conj(b), conj(a)]], and that is the one
+representation used here.  The site formula is written once, in that form,
+in ``gz_pair``.  A product is the pair (a, b) with a power-of-two exponent
+per point (``pair_mul``, ``transfer_product_grid``): four complex
+multiplies per product, a trace 2 Re(a) that is real by construction, and
+determinant drift as the one sanity check (``pair_trace``).  A scalar
+product is a grid of length 1, which ``transfer_product`` expands into its
+2x2 matrix for the Gordon bounds; ``propagate`` steps with ``gz_pair``
+itself.  Coefficients come from a callable ``n -> alpha(n)``
+(``PeriodicAlphas.alpha``, a ``Window``'s ``__getitem__``, a lambda).
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ def rho_of(alpha: complex) -> float:
     return math.sqrt(1.0 - a2)
 
 
-def _check_unit_z(z: complex) -> complex:
+def check_unit_z(z: complex) -> complex:
     z = complex(z)
     if abs(abs(z) - 1.0) > UNIT_MODULUS_TOL:
         raise ValidationError(f"spectral parameter must sit on the unit circle, got |z| = {abs(z)}")
@@ -109,67 +108,10 @@ class VerblunskyMap:
 AlphaSource = Callable[[int], complex]
 
 
-@dataclass(frozen=True)
-class TransferMatrix2:
-    """A 2x2 complex transfer matrix."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValidationError("transfer matrices are 2x2")
-        object.__setattr__(self, "mat", m)
-
-    @property
-    def det(self) -> complex:
-        m = self.mat
-        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-    @property
-    def trace(self) -> complex:
-        return self.mat[0, 0] + self.mat[1, 1]
-
-    def __matmul__(self, other):
-        if isinstance(other, TransferMatrix2):
-            return TransferMatrix2(self.mat @ other.mat)
-        other = np.asarray(other, dtype=complex)
-        return self.mat @ other
-
-    def inverse(self) -> "TransferMatrix2":
-        d = self.det
-        if d == 0:
-            raise ValidationError("singular transfer matrix")
-        m = self.mat
-        inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / d
-        return TransferMatrix2(inv)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.mat, 2))
-
-
-def gz_step(alpha: complex, z: complex, n: int) -> TransferMatrix2:
-    """Single-site transfer matrix at site index n (only its parity matters).
-
-    The entries are those of ``gz_step_entries``.
-    """
-    t00, t01, t10, t11 = gz_step_entries(alpha, _check_unit_z(z), n)
-    return TransferMatrix2(np.array([[t00, t01], [t10, t11]]))
-
-
 def theta_matrix(alpha: complex) -> np.ndarray:
     """The unitary 2x2 building block [[conj(a), rho], [rho, -a]]."""
     r = rho_of(alpha)
     return np.array([[np.conj(alpha), r], [r, -alpha]], dtype=complex)
-
-
-def transfer_product(alphas: AlphaSource, z: complex, lo: int, hi: int) -> TransferMatrix2:
-    """Ordered product of single-site matrices for sites lo..hi (last on the left).
-
-    A length-1 call of ``transfer_product_grid``; an empty range (hi < lo)
-    yields the identity.
-    """
-    return TransferMatrix2(transfer_product_grid(alphas, np.array([complex(z)]), lo, hi)[:, :, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -187,39 +129,6 @@ def gz_pair(alpha: complex, z, parity: int):
     if parity & 1:
         return -np.conj(alpha) / r, z / r
     return -alpha / r, 1.0 / r
-
-
-def gz_step_entries(alpha: complex, z: np.ndarray, parity: int):
-    """Entries (m00, m01, m10, m11) of the single-site matrix at spectral point(s) z.
-
-    The upper row is ``gz_pair``'s; the lower row is written out, since
-    1/z = conj(z) holds only on the unit circle.
-    """
-    a, b = gz_pair(alpha, z, parity)
-    r = rho_of(alpha)
-    zeros = 0.0 * z
-    if parity & 1:
-        return a + zeros, b, (1.0 / z) / r, -alpha / r + zeros
-    return a + zeros, b + zeros, b + zeros, -np.conj(alpha) / r + zeros
-
-
-def transfer_product_grid(alphas: AlphaSource, z: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Vectorized ordered product over sites lo..hi; returns shape (2, 2, len(z))."""
-    z = np.asarray(z, dtype=complex)
-    if np.max(np.abs(np.abs(z) - 1.0)) > UNIT_MODULUS_TOL:
-        raise ValidationError("spectral grid must sit on the unit circle")
-    m00 = np.ones_like(z)
-    m01 = np.zeros_like(z)
-    m10 = np.zeros_like(z)
-    m11 = np.ones_like(z)
-    for n in range(lo, hi + 1):
-        t00, t01, t10, t11 = gz_step_entries(complex(alphas(n)), z, n)
-        n00 = t00 * m00 + t01 * m10
-        n01 = t00 * m01 + t01 * m11
-        n10 = t10 * m00 + t11 * m10
-        n11 = t10 * m01 + t11 * m11
-        m00, m01, m10, m11 = n00, n01, n10, n11
-    return np.array([[m00, m01], [m10, m11]])
 
 
 # A pair-form product is a triple (a, b, e): the matrix 2^e [[a, b], [conj(b),
@@ -245,8 +154,9 @@ def pair_mul(left, right):
     return _rescaled(a1 * a2 + b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2), e1 + e2)
 
 
-def pair_product(alphas: AlphaSource, z: np.ndarray, lo: int, hi: int):
-    """Pair-form ordered product over sites lo..hi at unit-circle points z."""
+def transfer_product_grid(alphas: AlphaSource, z: np.ndarray, lo: int, hi: int):
+    """Ordered product over sites lo..hi (last on the left) at unit-circle
+    points z, as the pair-form triple (a, b, e)."""
     z = np.asarray(z, dtype=complex)
     if np.max(np.abs(np.abs(z) - 1.0)) > UNIT_MODULUS_TOL:
         raise ValidationError("spectral grid must sit on the unit circle")
@@ -254,6 +164,18 @@ def pair_product(alphas: AlphaSource, z: np.ndarray, lo: int, hi: int):
     for n in range(lo, hi + 1):
         prod = pair_mul((*gz_pair(complex(alphas(n)), z, n), 0), prod)
     return prod
+
+
+def transfer_product(alphas: AlphaSource, z: complex, lo: int, hi: int) -> np.ndarray:
+    """The 2x2 matrix of the product over sites lo..hi at one point z.
+
+    A length-1 call of ``transfer_product_grid``; an empty range (hi < lo)
+    yields the identity.
+    """
+    prod = transfer_product_grid(alphas, np.array([complex(z)]), lo, hi)
+    a, b, e = (np.ravel(v)[0] for v in prod)
+    with np.errstate(over="ignore"):
+        return np.ldexp(1.0, e) * np.array([[a, b], [np.conj(b), np.conj(a)]])
 
 
 def pair_trace(prod, length: int) -> np.ndarray:
@@ -327,7 +249,7 @@ def propagate(
     """Apply the product family to a seed at site 0 across sites lo..hi."""
     if lo > 0 or hi < 0:
         raise ValidationError("solution window must contain site 0")
-    z = _check_unit_z(z)
+    z = check_unit_z(z)
     s = np.asarray(seed, dtype=complex)
     if s.shape != (2,):
         raise ValidationError("seed must be a pair (u0, v0)")
@@ -337,11 +259,13 @@ def propagate(
     u[-lo], v[-lo] = s
     state = s.copy()
     for n in range(1, hi + 1):
-        state = gz_step(complex(alphas(n)), z, n) @ state
+        a, b = gz_pair(complex(alphas(n)), z, n)
+        state = np.array([[a, b], [np.conj(b), np.conj(a)]]) @ state
         u[n - lo], v[n - lo] = state
     state = s.copy()
-    for n in range(0, lo, -1):
-        state = gz_step(complex(alphas(n)), z, n).inverse() @ state
+    for n in range(0, lo, -1):  # a site matrix has determinant -1
+        a, b = gz_pair(complex(alphas(n)), z, n)
+        state = np.array([[-np.conj(a), b], [np.conj(b), -a]]) @ state
         u[n - 1 - lo], v[n - 1 - lo] = state
     return SolutionPair(u, v, lo, z)
 
@@ -398,7 +322,7 @@ def gordon_inequality_check(
     _require_blocks(alphas, n, 2 if variant == "two" else 3)
     lo = -n if variant == "three" else 0
     sol = propagate(alphas, z, s, lo, 2 * n)
-    tr = transfer_product(alphas, z, 1, n).trace
+    tr = np.trace(transfer_product(alphas, z, 1, n))
     norms = {"n": sol.norm_at(n), "2n": sol.norm_at(2 * n)}
     if variant == "three":
         norms["-n"] = sol.norm_at(-n)

@@ -20,8 +20,8 @@ from cmvsubshift.spectrum import (
     periodic_approximant,
     spectrum_arcs,
 )
-from cmvsubshift.tracemap import coupling_constant, level_one_blocks, trace_orbit, trace_bound_check
-from cmvsubshift.transfer import VerblunskyMap, gordon_inequality_check, gz_step
+from cmvsubshift.tracemap import coupling_constant, trace_orbit, trace_bound_check
+from cmvsubshift.transfer import VerblunskyMap, gordon_inequality_check
 from cmvsubshift.words import (
     PERIOD_DOUBLING,
     continued_fraction,
@@ -29,6 +29,7 @@ from cmvsubshift.words import (
     substitution_word,
     sturmian_coding,
 )
+from reference import det2, site_matrix, word_product
 
 TAU = 2.0 * math.pi
 
@@ -61,7 +62,7 @@ def test_criterion_01_single_step_determinants():
     worst = 0.0
     for alpha, z in zip(alphas, zs):
         for parity in (0, 1):
-            worst = max(worst, abs(gz_step(complex(alpha), complex(z), parity).det + 1.0))
+            worst = max(worst, abs(det2(site_matrix(complex(alpha), complex(z), parity)) + 1.0))
     elapsed = time.perf_counter() - t0
     _verdict(1, worst <= 1e-12, elapsed, 1.0,
              f"det deviates from -1 by at most {worst:.2e} over 10^4 draws, both parities")
@@ -74,8 +75,8 @@ def test_criterion_02_coupling_constant():
     value = coupling_constant(f)
     worst_oracle = 0.0
     for z in (1.0 + 0j, complex(np.exp(2.1j))):
-        block_a, block_b = level_one_blocks(z, f)
-        oracle = (block_b @ block_a.inverse()).trace
+        block_a, block_b = (word_product(substitution_word(PERIOD_DOUBLING, c, 1), z, f) for c in "ab")
+        oracle = np.trace(block_b @ np.linalg.inv(block_a))
         worst_oracle = max(worst_oracle, abs(value - oracle.real), abs(oracle.imag))
     exact_gap = abs(value - 10.0 / 3.0)
     floor = min(
@@ -92,7 +93,7 @@ def test_criterion_02_coupling_constant():
 def _direct_block_trace(word_text: str, z: complex, f: VerblunskyMap) -> complex:
     """Trace of the ordered step-matrix product, composed by pairwise tree."""
     mats = {
-        (letter, parity): gz_step(f.alpha(letter), z, parity).mat
+        (letter, parity): site_matrix(f.alpha(letter), z, parity)
         for letter in "ab"
         for parity in (0, 1)
     }

@@ -220,10 +220,17 @@ def test_output_flag_writes_file(capsys, tmp_path):
 def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "word", "--rule", "period-doubling", "--level", "30")
     assert code == 4 and "cap" in err
-    code, _, err = run_cli(
+    # |z| - 1 = 9e-9 is inside the unit-circle tolerance; 2e-8 is not
+    code, out, _ = run_cli(
         capsys, "trace", "--f-a", "0.5", "--f-b", "-0.5", "--z", "1.000000009j"
     )
-    assert code == 3 and "real" in err
+    assert code == 0
+    _, on_circle, _ = run_cli(capsys, "trace", "--f-a", "0.5", "--f-b", "-0.5", "--z", "1j")
+    assert out == on_circle
+    code, _, err = run_cli(
+        capsys, "trace", "--f-a", "0.5", "--f-b", "-0.5", "--z", "1.00000002j"
+    )
+    assert code == 2 and "unit circle" in err
     code, _, err = run_cli(capsys, "trace", "--f-a", "0.5", "--f-b", "-0.5")
     assert code == 2  # missing z
     code, _, err = run_cli(capsys, "word", "--rule", "no-such-rule", "--level", "2")

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from cmvsubshift.quadratic import Quadratic
 from cmvsubshift.spectrum import PeriodicAlphas, build_floquet, discriminant, substitution_discriminant
 from cmvsubshift.tracemap import classify_orbit, trace_orbit
-from cmvsubshift.transfer import VerblunskyMap, transfer_product, unit_point
+from cmvsubshift.transfer import VerblunskyMap, unit_point
 from cmvsubshift.words import FIBONACCI, PERIOD_DOUBLING, THUE_MORSE, fixed_point_prefix, substitution_word
+from reference import word_product
 
 angles = st.floats(0.0, 2 * math.pi, allow_nan=False)
 
@@ -39,11 +40,10 @@ def test_trace_orbit_matches_direct_block_products(f, omega, levels):
     orbit = trace_orbit(z, f, levels)
     for level in range(1, levels + 1):
         for letter, rec in (("a", orbit.trace_a_at(level)), ("b", orbit.trace_b_at(level))):
-            word = substitution_word(PERIOD_DOUBLING, letter, level)
-            direct = transfer_product(lambda n: f.alpha(word.letter(n)), z, 1, len(word))
-            scale = max(1.0, direct.norm())
-            assert abs(direct.trace.imag) <= 1e-10 * scale
-            assert abs(rec - direct.trace.real) <= 1e-10 * scale
+            direct = word_product(substitution_word(PERIOD_DOUBLING, letter, level), z, f)
+            scale = max(1.0, np.linalg.norm(direct, 2))
+            assert abs(np.trace(direct).imag) <= 1e-10 * scale
+            assert abs(rec - np.trace(direct).real) <= 1e-10 * scale
 
 
 @PROPERTY
@@ -88,8 +88,8 @@ def test_substitution_blocks_match_direct_products(rule, f, omegas, level):
         word = word + word
     disc = substitution_discriminant(rule, level, f)(np.array(omegas))
     for omega, value in zip(omegas, disc):
-        direct = transfer_product(lambda n: f.alpha(word.letter(n)), unit_point(omega), 1, len(word))
-        assert abs(value - direct.trace.real) <= 1e-10 * max(1.0, direct.norm())
+        direct = word_product(word, unit_point(omega), f)
+        assert abs(value - np.trace(direct).real) <= 1e-10 * max(1.0, np.linalg.norm(direct, 2))
 
 
 def _mp_block_trace(rule, level, f, omega, dps=30):

@@ -55,7 +55,7 @@ def test_discriminant_free_case_and_trace_equality():
     assert discriminant(unit_point(om), free) == pytest.approx(2 * math.cos(om), abs=1e-12)
     al = PeriodicAlphas((0.5, 0.5))
     z = 1.0 + 0j
-    tr = transfer_product(al.alpha, z, 1, 2).trace
+    tr = np.trace(transfer_product(al.alpha, z, 1, 2))
     assert discriminant(z, al) == pytest.approx(tr.real, abs=1e-14)
     with pytest.raises(ValidationError):
         discriminant(z, PeriodicAlphas((0.1, 0.2, 0.3)))  # odd period

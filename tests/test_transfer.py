@@ -5,10 +5,8 @@ import pytest
 
 from cmvsubshift.errors import ValidationError
 from cmvsubshift.transfer import (
-    TransferMatrix2,
     VerblunskyMap,
     gordon_inequality_check,
-    gz_step,
     propagate,
     theta_matrix,
     transfer_product,
@@ -16,6 +14,7 @@ from cmvsubshift.transfer import (
     unit_point,
 )
 from cmvsubshift.words import Window
+from reference import det2, site_matrix, site_product
 
 RNG_SEED = 20260815
 
@@ -26,6 +25,10 @@ def random_disk(rng, n, radius=0.95):
     return r * np.exp(1j * ph)
 
 
+def single_site(alpha, z, n):
+    return transfer_product(lambda m: alpha, z, n, n)
+
+
 def test_single_step_determinant_is_minus_one():
     rng = np.random.default_rng(RNG_SEED)
     alphas = random_disk(rng, 50)
@@ -33,21 +36,21 @@ def test_single_step_determinant_is_minus_one():
     for alpha, om in zip(alphas, angles):
         z = unit_point(om)
         for n in (1, 2):
-            assert abs(gz_step(alpha, z, n).det + 1.0) < 1e-14
+            assert abs(det2(single_site(alpha, z, n)) + 1.0) < 1e-14
     # only the parity of the site index matters
-    assert np.allclose(gz_step(0.3, 1j, 7).mat, gz_step(0.3, 1j, 1).mat)
-    assert np.allclose(gz_step(0.3, 1j, 4).mat, gz_step(0.3, 1j, 2).mat)
+    assert np.allclose(single_site(0.3, 1j, 7), single_site(0.3, 1j, 1))
+    assert np.allclose(single_site(0.3, 1j, 4), single_site(0.3, 1j, 2))
 
 
 def test_free_product_closed_form():
     z = unit_point(0.9)
     free = lambda n: 0.0
     m2 = transfer_product(free, z, 1, 2)
-    assert np.allclose(m2.mat, np.diag([1 / z, z]), atol=1e-14)
-    m_minus2 = transfer_product(free, z, -1, 0).inverse()
-    assert np.allclose(m_minus2.mat, np.diag([z, 1 / z]), atol=1e-14)
-    assert np.allclose((m2 @ m_minus2).mat, np.eye(2), atol=1e-14)
-    assert np.allclose(transfer_product(free, z, 1, 0).mat, np.eye(2))  # empty range
+    assert np.allclose(m2, np.diag([1 / z, z]), atol=1e-14)
+    m_minus2 = np.linalg.inv(transfer_product(free, z, -1, 0))
+    assert np.allclose(m_minus2, np.diag([z, 1 / z]), atol=1e-14)
+    assert np.allclose(m2 @ m_minus2, np.eye(2), atol=1e-14)
+    assert np.allclose(transfer_product(free, z, 1, 0), np.eye(2))  # empty range
 
 
 def test_negative_products_invert_site_range():
@@ -57,10 +60,10 @@ def test_negative_products_invert_site_range():
     vals = random_disk(rng, 8)
     alphas = Window(list(vals), -5).__getitem__
     z = unit_point(2.2)
-    back = transfer_product(alphas, z, -2, 0).inverse()
-    steps = [gz_step(alphas(n), z, n).inverse().mat for n in (-2, -1, 0)]
-    assert np.allclose(back.mat, np.linalg.multi_dot(steps), atol=1e-12)
-    assert np.allclose(back.mat @ transfer_product(alphas, z, -2, 0).mat, np.eye(2), atol=1e-12)
+    back = np.linalg.inv(transfer_product(alphas, z, -2, 0))
+    steps = [np.linalg.inv(site_matrix(alphas(n), z, n)) for n in (-2, -1, 0)]
+    assert np.allclose(back, np.linalg.multi_dot(steps), atol=1e-12)
+    assert np.allclose(back @ transfer_product(alphas, z, -2, 0), np.eye(2), atol=1e-12)
 
 
 def test_free_case_preserves_norms():
@@ -108,16 +111,6 @@ def test_verblunsky_map():
         VerblunskyMap(1.0, 0.0)
 
 
-def docstring_site_matrix(alpha, z, n):
-    """The single-site matrix written out from the transfer.py docstring."""
-    rho = np.sqrt(1.0 - abs(alpha) ** 2)
-    if n % 2:
-        mat = [[-np.conj(alpha), z], [1.0 / z, -alpha]]
-    else:
-        mat = [[-alpha, 1.0], [1.0, -np.conj(alpha)]]
-    return np.array(mat, dtype=complex) / rho
-
-
 def test_grid_product_matches_scalar_route():
     # reference: the docstring formula site by site, multiplied by numpy
     rng = np.random.default_rng(RNG_SEED + 5)
@@ -125,26 +118,26 @@ def test_grid_product_matches_scalar_route():
     alphas = Window(vals, 1).__getitem__
     omegas = rng.uniform(0, 2 * np.pi, 7)
     zs = np.exp(1j * omegas)
-    grid = transfer_product_grid(alphas, zs, 1, 6)
+    a, b, e = transfer_product_grid(alphas, zs, 1, 6)
+    scale = np.ldexp(1.0, np.broadcast_to(e, zs.shape))
     for k, z in enumerate(zs):
-        reference = np.linalg.multi_dot([docstring_site_matrix(alphas(n), z, n) for n in range(6, 0, -1)])
-        assert np.allclose(grid[:, :, k], reference, atol=1e-12)
-        assert np.allclose(transfer_product(alphas, z, 1, 6).mat, reference, atol=1e-12)
+        reference = site_product(alphas, z, 1, 6)
+        pair = scale[k] * np.array([[a[k], b[k]], [np.conj(b[k]), np.conj(a[k])]])
+        assert np.allclose(pair, reference, atol=1e-12)
+        assert np.allclose(transfer_product(alphas, z, 1, 6), reference, atol=1e-12)
 
 
 def test_matrix_inverse_and_validation():
     z = unit_point(0.4)
-    t1 = gz_step(0.2, z, 1)
-    t2 = gz_step(0.3, z, 2)
-    prod = t2 @ t1
-    assert np.allclose(prod.mat, docstring_site_matrix(0.3, z, 2) @ docstring_site_matrix(0.2, z, 1))
-    assert np.allclose(prod.inverse().mat @ prod.mat, np.eye(2), atol=1e-14)
+    prod = transfer_product(lambda n: (0.2, 0.3)[n - 1], z, 1, 2)
+    assert np.allclose(prod, site_matrix(0.3, z, 2) @ site_matrix(0.2, z, 1))
+    assert np.allclose(np.linalg.inv(prod) @ prod, np.eye(2), atol=1e-14)
     with pytest.raises(ValidationError):
-        gz_step(0.2, 1.5 + 0j, 1)
+        single_site(0.2, 1.5 + 0j, 1)
     with pytest.raises(ValidationError):
-        gz_step(1.2, z, 1)
+        single_site(1.2, z, 1)
     with pytest.raises(ValidationError):
-        TransferMatrix2(np.eye(3))
+        propagate(lambda n: 0.2, 1.5 + 0j, (1, 0), 0, 1)
 
 
 def test_gordon_check_free_case():

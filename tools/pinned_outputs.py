@@ -44,6 +44,7 @@ CONFIGS = [
     ("spectrum-tm8-real", ["spectrum", "--rule", "thue-morse", "--level", "8", "--f-a", "0.3", "--f-b=-0.3"]),
     ("trace-escape", ["trace", "--z", "1", "--f-a", "0.5", "--f-b=-0.5", "--levels", "14"]),
     ("trace-band", ["trace", "--z", "0.6+0.8j", *COMPLEX_F, "--levels", "10"]),
+    ("trace-near-circle", ["trace", "--z", "1.000000009j", "--f-a", "0.5", "--f-b=-0.5"]),
     ("floquet-pd4", ["floquet-check", *PD, "--level", "4", "--phi-count", "8"]),
     ("floquet-fib7", ["floquet-check", "--rule", "fibonacci", "--level", "7", *COMPLEX_F]),
     ("gordon-sturmian", ["gordon", "--theta", "golden", "--n", "9", "--mc-samples", "2000", "--seed", "3"]),
