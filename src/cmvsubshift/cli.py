@@ -30,6 +30,7 @@ from .spectrum import (
     DEFAULT_RESOLUTION,
     TAU,
     PeriodicAlphas,
+    approximant_lengths,
     band_arcs_from_function,
     discriminant_grid,
     discriminant_sampler,
@@ -261,21 +262,21 @@ def _write_curve(cfg: RunConfig, sample) -> None:
     omegas = np.linspace(0.0, TAU, cfg.resolution, endpoint=False)
     disc = sample(omegas)
     in_band = np.abs(disc) <= 2.0
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["angle", "disc_real", "disc_imag", "in_band"])
-    for omega, value, flag in zip(omegas, disc, in_band):
-        writer.writerow([repr(float(omega)), repr(float(value)), "0.0", int(flag)])
-    _emit(buf.getvalue(), cfg.curve)
+    rows = zip(omegas.tolist(), disc.tolist(), in_band.tolist())
+    lines = [f"{omega!r},{value!r},0.0,{int(flag)}\n" for omega, value, flag in rows]
+    _emit("angle,disc_real,disc_imag,in_band\n" + "".join(lines), cfg.curve)
 
 
 def cmd_spectrum(cfg: RunConfig) -> str:
-    alphas, meta = _resolve_periodic(cfg)
     if cfg.free:
+        alphas, meta = _resolve_periodic(cfg)
+
         def sample(omegas):
             return discriminant_grid(np.exp(1j * omegas), alphas)
     else:
-        sample = discriminant_sampler(_named_rule(cfg.rule), cfg.level, cfg.verblunsky())
+        rule, level = _named_rule(cfg.require("rule")), cfg.require("level")
+        sample = discriminant_sampler(rule, level, cfg.verblunsky())
+        meta = {"rule": cfg.rule, "level": level, "q": approximant_lengths(rule, level)[0]}
     arcs = band_arcs_from_function(sample, cfg.resolution)
     if cfg.curve is not None:
         _write_curve(cfg, sample)

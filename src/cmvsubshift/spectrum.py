@@ -11,9 +11,11 @@ Every discriminant comes from the pair-form product of ``transfer`` and is
 real by construction; its one check is the determinant drift in
 ``pair_trace``.  ``discriminant_sampler`` is the one place a band-scan route
 is chosen: period-doubling approximants run the trace recursion, every other
-rule the substitution blocks of ``substitution_discriminant``.  A periodic
-sequence given by its values (``discriminant_grid``, ``spectrum_arcs``,
-the Floquet cross-check) runs the per-site fold ``transfer_product_grid``.
+rule the substitution blocks of ``substitution_discriminant``; both are
+sampled in pieces of ``CHUNK`` angles, and each doubling of the scan grid
+evaluates only its new angles.  A periodic sequence given by its values
+(``discriminant_grid``, ``spectrum_arcs``, the Floquet cross-check) runs the
+per-site fold ``transfer_product_grid``.
 """
 
 from __future__ import annotations
@@ -88,22 +90,29 @@ def periodic_approximant(
     return PeriodicAlphas(values, start=1)
 
 
-def _require_even_period(alphas: PeriodicAlphas) -> int:
+def discriminant_grid(z: np.ndarray, alphas: PeriodicAlphas) -> np.ndarray:
+    """One-period discriminant over an array of unit-circle points (per-site fold)."""
     q = alphas.period
     if q % 2 or q < 2:
         raise ValidationError("band computations need an even period >= 2")
-    return q
-
-
-def discriminant_grid(z: np.ndarray, alphas: PeriodicAlphas) -> np.ndarray:
-    """One-period discriminant over an array of unit-circle points (per-site fold)."""
-    q = _require_even_period(alphas)
     return pair_trace(transfer_product_grid(alphas.alpha, z, 1, q), q)
 
 
 def discriminant(z: complex, alphas: PeriodicAlphas) -> float:
     """Trace of the one-period transfer product at one point: a length-1 grid."""
     return float(discriminant_grid(np.array([complex(z)]), alphas)[0])
+
+
+def approximant_lengths(rule: SubstitutionRule, level: int):
+    """(period, parity) of the level-n approximant without building its word: q = |S^n(a)|,
+    doubled when odd as in ``periodic_approximant``, and parity[m][c] = |S^m(c)| mod 2."""
+    if level < 2:
+        raise ValidationError("approximant level must be >= 2")
+    lengths, parity = {"a": 1, "b": 1}, [{"a": 1, "b": 1}]
+    for _ in range(level):
+        lengths = {c: sum(lengths[d] for d in rule.image(c)) for c in "ab"}
+        parity.append({c: n & 1 for c, n in lengths.items()})
+    return lengths["a"] << parity[level]["a"], parity
 
 
 def substitution_discriminant(
@@ -118,46 +127,35 @@ def substitution_discriminant(
     products instead of O(q).  A prefix of odd length q runs as two copies,
     the second from the even site q+1, as in ``periodic_approximant``.
     """
-    if level < 2:
-        raise ValidationError("approximant level must be >= 2")
-    lengths = [{"a": 1, "b": 1}]
-    for _ in range(level):
-        lengths.append({c: sum(lengths[-1][d] for d in rule.image(c)) for c in "ab"})
-    q = lengths[level]["a"]
-    period = q if q % 2 == 0 else 2 * q
-    keys = [{("a", 1)} if q % 2 == 0 else {("a", 1), ("a", 0)}]  # top down, per level
+    period, parity = approximant_lengths(rule, level)
+    odd = parity[level]["a"]
+    keys = [{("a", 0), ("a", 1)} if odd else {("a", 1)}]  # top down, per level
     for m in range(level, 0, -1):
         below = set()
-        for c, parity in keys[-1]:
+        for c, p in keys[-1]:
             for d in rule.image(c):
-                below.add((d, parity))
-                parity ^= lengths[m - 1][d] & 1
+                below.add((d, p))
+                p ^= parity[m - 1][d]
         keys.append(below)
     keys.reverse()
 
-    def chunk(z: np.ndarray) -> np.ndarray:
+    def sample(omegas: np.ndarray) -> np.ndarray:
+        z = np.exp(1j * np.asarray(omegas, dtype=float))
         blocks = {(c, p): (*gz_pair(f.alpha(c), z, p), 0) for c, p in keys[0]}
         for m in range(1, level + 1):
             built = {}
             for c, first in keys[m]:
-                parity, prod = first, None
+                p, prod = first, None
                 for d in rule.image(c):
-                    sub = blocks[(d, parity)]
+                    sub = blocks[(d, p)]
                     prod = sub if prod is None else pair_mul(sub, prod)
-                    parity ^= lengths[m - 1][d] & 1
+                    p ^= parity[m - 1][d]
                 built[(c, first)] = prod
             blocks = built
         prod = blocks[("a", 1)]
-        if q % 2:
+        if odd:
             prod = pair_mul(blocks[("a", 0)], prod)
         return pair_trace(prod, period)
-
-    def sample(omegas: np.ndarray) -> np.ndarray:
-        omegas = np.asarray(omegas, dtype=float)
-        out = np.empty(len(omegas))
-        for k in range(0, len(omegas), CHUNK):
-            out[k : k + CHUNK] = chunk(np.exp(1j * omegas[k : k + CHUNK]))
-        return out
 
     return sample
 
@@ -168,12 +166,24 @@ def discriminant_sampler(
     """Discriminant of the level-n approximant as a function of angles.
 
     This is where the route is chosen.  Period doubling runs the trace
-    recursion (real arithmetic, O(level) per angle); every other rule runs
-    the pair-form substitution blocks (also O(level) per angle).
+    recursion from cos omega (real arithmetic, O(level) per angle); every
+    other rule the pair-form substitution blocks (also O(level) per angle).
+    Both run in pieces of ``CHUNK`` angles, whose arrays stay in cache.
     """
     if rule == PERIOD_DOUBLING:
-        return lambda omegas: trace_a_grid(np.exp(1j * omegas), f, level)
-    return substitution_discriminant(rule, level, f)
+        def piece(omegas: np.ndarray) -> np.ndarray:
+            return trace_a_grid(np.cos(omegas), f, level)  # the seed reads only Re z
+    else:
+        piece = substitution_discriminant(rule, level, f)
+
+    def sample(omegas: np.ndarray) -> np.ndarray:
+        omegas = np.asarray(omegas, dtype=float)
+        out = np.empty(len(omegas))
+        for k in range(0, len(omegas), CHUNK):
+            out[k : k + CHUNK] = piece(omegas[k : k + CHUNK])
+        return out
+
+    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +192,15 @@ def discriminant_sampler(
 
 
 def _cyclic_runs(mask: np.ndarray):
-    """Start/end sample indices of cyclic runs of True in a boolean array."""
+    """Start/end sample indices of cyclic runs of True (one may wrap through 0)."""
     n = len(mask)
     change = mask != np.roll(mask, 1)  # True where a run starts at i
     starts = np.nonzero(change & mask)[0]
     ends_next = np.nonzero(change & ~mask)[0]  # first False after a run
     if len(starts) == 0:
-        return [], []
-    ends = []
-    for s in starts:
-        nxt = ends_next[ends_next > s]
-        e = (nxt[0] if len(nxt) else ends_next[0] + n) - 1
-        ends.append(e % n)
-    return list(starts), ends
+        return starts, starts
+    ends_next = np.append(ends_next, ends_next[0] + n)
+    return starts, (ends_next[np.searchsorted(ends_next, starts, side="right")] - 1) % n
 
 
 def _bisect_band_edges(
@@ -223,8 +229,9 @@ def band_arcs_from_function(
 
     ``disc_fn`` maps angles to real discriminant samples.  The grid doubles
     until the number of bands stabilizes or it reaches ``MAX_RESOLUTION`` (a
-    cheap tangency fallback), then every edge is bisected to
-    ``EDGE_ANGLE_TOL``.
+    cheap tangency fallback); each doubling evaluates only the new angles,
+    as halving the step is exact and the old ones are the even angles of the
+    finer grid, bit for bit.  Then every edge is bisected to ``EDGE_ANGLE_TOL``.
     """
     if resolution < 8:
         raise ValidationError("resolution too small to scan bands")
@@ -233,16 +240,17 @@ def band_arcs_from_function(
         return np.abs(disc_fn(omegas)) <= 2.0
 
     res = int(resolution)
+    mask = inside(np.arange(res) * (TAU / res))
     prev_count = -1
     while True:
-        omegas = np.arange(res) * (TAU / res)
-        mask = inside(omegas)
         starts, ends = _cyclic_runs(mask)
         count = len(starts)
         if (count == prev_count and count > 0) or res >= MAX_RESOLUTION or mask.all() or not mask.any():
             break
         prev_count = count
         res *= 2
+        odd = inside(np.arange(1, res, 2) * (TAU / res))
+        mask = np.stack([mask, odd], axis=1).ravel()  # interleave: old angles are the even ones
 
     if mask.all():
         return ArcSet.full(TAU)
@@ -250,25 +258,16 @@ def band_arcs_from_function(
         return ArcSet.empty(TAU)
 
     step = TAU / res
-    starts = np.asarray(starts)
-    ends = np.asarray(ends)
     left = _bisect_band_edges(inside, (starts - 1) * step, starts * step)
     right = _bisect_band_edges(inside, (ends + 1) * step, ends * step)
-    pairs = []
-    for lo, hi in zip(left, right):
-        if hi < lo:
-            hi += TAU
-        pairs.append((lo, hi))
-    return ArcSet(pairs, TAU)
+    return ArcSet(zip(left, np.where(right < left, right + TAU, right)), TAU)
 
 
 def spectrum_arcs(alphas: PeriodicAlphas, resolution: int = DEFAULT_RESOLUTION) -> ArcSet:
     """Band arcs of a periodic coefficient sequence (per-site fold)."""
-
-    def sample(omegas: np.ndarray) -> np.ndarray:
-        return discriminant_grid(np.exp(1j * omegas), alphas)
-
-    return band_arcs_from_function(sample, resolution)
+    return band_arcs_from_function(
+        lambda omegas: discriminant_grid(np.exp(1j * omegas), alphas), resolution
+    )
 
 
 def period_doubling_arcs(

@@ -191,7 +191,7 @@ def pair_trace(prod, length: int) -> np.ndarray:
     det = np.ldexp(-1.0 if length & 1 else 1.0, -2 * np.asarray(e))
     with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 and nan fail below
         worst = float(np.max(np.abs(aa - bb - det) / (aa + bb)))
-    bound = DRIFT_PER_SITE * length * UNIT_ROUNDOFF
+    bound = DRIFT_PER_SITE * min(length, 2.0**1000) * UNIT_ROUNDOFF  # q may pass float range
     if not worst <= bound:
         raise NumericAssertionError(
             f"determinant drift {worst:.3g} of a {length}-site product exceeds {bound:.3g}"

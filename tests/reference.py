@@ -1,13 +1,19 @@
-"""Full-matrix reference for the transfer layer, independent of its pair form.
+"""References the tests compare the library against.
 
-The single-site matrix is written out from the ``transfer.py`` docstring,
-with 1/z in the lower row of an odd site, and products are plain 2x2 numpy
-products, so tests can check the pair-form kernels against it.
+The transfer layer's is a full-matrix one, independent of its pair form: the
+single-site matrix is written out from the ``transfer.py`` docstring, with
+1/z in the lower row of an odd site, and products are plain 2x2 numpy
+products, so tests can check the pair-form kernels against it.  The band
+scan's re-evaluates the whole grid at every doubling and finds each run's
+end by walking it.
 """
 
 import math
 
 import numpy as np
+
+from cmvsubshift.arcs import ArcSet
+from cmvsubshift.spectrum import MAX_RESOLUTION, _bisect_band_edges
 
 
 def site_matrix(alpha, z, n):
@@ -34,3 +40,45 @@ def word_product(word, z, f):
 def det2(m):
     """Determinant of a 2x2 matrix, written out."""
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
+def cyclic_runs_by_walking(mask):
+    """Start/end indices of cyclic runs of True: walk from every run start
+    until the next False, wrapping at n."""
+    n = len(mask)
+    starts = [i for i in range(n) if mask[i] and not mask[i - 1]]
+    ends = []
+    for s in starts:
+        e = s
+        while mask[(e + 1) % n]:
+            e += 1
+        ends.append(e % n)
+    return starts, ends
+
+
+def full_grid_band_arcs(disc_fn, resolution):
+    """The band scan with the library's stop rule and bisection, but every
+    doubling re-evaluates its whole grid and runs are found by walking."""
+    tau = 2 * math.pi
+
+    def inside(omegas):
+        return np.abs(disc_fn(omegas)) <= 2.0
+
+    res, prev_count = resolution, -1
+    while True:
+        mask = inside(np.arange(res) * (tau / res))
+        starts, ends = cyclic_runs_by_walking(mask)
+        count = len(starts)
+        if (count == prev_count and count > 0) or res >= MAX_RESOLUTION or mask.all() or not mask.any():
+            break
+        prev_count = count
+        res *= 2
+    if mask.all():
+        return ArcSet.full(tau)
+    if not mask.any():
+        return ArcSet.empty(tau)
+    step = tau / res
+    starts, ends = np.array(starts), np.array(ends)
+    left = _bisect_band_edges(inside, (starts - 1) * step, starts * step)
+    right = _bisect_band_edges(inside, (ends + 1) * step, ends * step)
+    return ArcSet([(lo, hi + tau if hi < lo else hi) for lo, hi in zip(left, right)], tau)

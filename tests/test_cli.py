@@ -14,6 +14,7 @@ from cmvsubshift import cli
 from cmvsubshift.gordon import gordon_set
 from cmvsubshift.quadratic import GOLDEN_MEAN
 from cmvsubshift.spectrum import build_floquet, periodic_approximant
+from cmvsubshift.tracemap import trace_a_grid
 from cmvsubshift.transfer import VerblunskyMap
 from cmvsubshift.words import FIBONACCI, sturmian_coding
 
@@ -132,6 +133,39 @@ def test_thue_morse_discriminant_is_real_by_construction(capsys, tmp_path):
     assert json.loads(out)["q"] == 256
     rows = list(csv.DictReader(curve.open()))
     assert {row["disc_imag"] for row in rows} == {"0.0"}
+
+
+def test_curve_bytes_match_csv_writer_rendering(capsys, tmp_path):
+    # 32768 rows span two sampling chunks; the reference seeds the trace map
+    # from exp(i omega) over the whole grid at once and renders with csv.writer
+    curve = tmp_path / "curve.csv"
+    code, _, err = run_cli(
+        capsys, "spectrum", "--rule", "period-doubling", "--level", "9", "--f-a", "0.3", "--f-b=-0.3",
+        "--resolution", "32768", "--curve", str(curve),
+    )
+    assert code == 0, err
+    omegas = np.linspace(0.0, 2 * math.pi, 32768, endpoint=False)
+    disc = trace_a_grid(np.exp(1j * omegas), VerblunskyMap(0.3, -0.3), 9)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["angle", "disc_real", "disc_imag", "in_band"])
+    for omega, value in zip(omegas, disc):
+        writer.writerow([repr(float(omega)), repr(float(value)), "0.0", int(abs(value) <= 2.0)])
+    assert curve.read_bytes() == buf.getvalue().encode("utf-8")
+
+
+def test_spectrum_reads_q_from_letter_lengths(capsys):
+    # no level-n word is built: no word cap applies, and a q past float range
+    # fails the drift check (the blocks overflow long before) instead of crashing
+    code, out, err = run_cli(
+        capsys, "spectrum", "--rule", "period-doubling", "--level", "23", "--f-a", "0.3", "--f-b=-0.3"
+    )
+    assert code == 0, err
+    assert json.loads(out)["q"] == 1 << 23
+    code, _, err = run_cli(
+        capsys, "spectrum", "--rule", "thue-morse", "--level", "1100", "--f-a", "0.3", "--f-b=-0.3"
+    )
+    assert code == 3 and "drift" in err
 
 
 @pytest.mark.parametrize("rule", ["thue-morse", "fibonacci"])

@@ -15,11 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmvsubshift.quadratic import Quadratic
-from cmvsubshift.spectrum import PeriodicAlphas, build_floquet, discriminant, substitution_discriminant
+from cmvsubshift.spectrum import (
+    PeriodicAlphas,
+    band_arcs_from_function,
+    build_floquet,
+    discriminant,
+    discriminant_sampler,
+    substitution_discriminant,
+)
 from cmvsubshift.tracemap import classify_orbit, trace_orbit
 from cmvsubshift.transfer import VerblunskyMap, unit_point
 from cmvsubshift.words import FIBONACCI, PERIOD_DOUBLING, THUE_MORSE, fixed_point_prefix, substitution_word
-from reference import word_product
+from reference import full_grid_band_arcs, word_product
 
 angles = st.floats(0.0, 2 * math.pi, allow_nan=False)
 
@@ -90,6 +97,24 @@ def test_substitution_blocks_match_direct_products(rule, f, omegas, level):
     for omega, value in zip(omegas, disc):
         direct = word_product(word, unit_point(omega), f)
         assert abs(value - np.trace(direct).real) <= 1e-10 * max(1.0, np.linalg.norm(direct, 2))
+
+
+small_coefficients = st.one_of(st.floats(-0.6, 0.6), disk_points(0.6))
+small_maps = st.builds(VerblunskyMap, small_coefficients, small_coefficients)
+
+
+@pytest.mark.parametrize(
+    "rule, levels", [(PERIOD_DOUBLING, (5, 10)), (THUE_MORSE, (4, 7))], ids=["pd", "tm"]
+)
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(data=st.data(), f=small_maps, resolution=st.sampled_from([1000, 3 << 9, 1 << 11]))
+def test_grid_reuse_matches_full_grid_scan(rule, levels, data, f, resolution):
+    # halving the step is exact, so reusing the coarse mask changes no bit
+    level = data.draw(st.integers(*levels))
+    sample = discriminant_sampler(rule, level, f)
+    arcs = band_arcs_from_function(sample, resolution)
+    ref = full_grid_band_arcs(sample, resolution)
+    assert arcs.period == ref.period and arcs.arcs == ref.arcs
 
 
 def _mp_block_trace(rule, level, f, omega, dps=30):

@@ -9,6 +9,7 @@ from cmvsubshift.errors import ValidationError
 from cmvsubshift.spectrum import (
     FloquetOperator,
     PeriodicAlphas,
+    _cyclic_runs,
     build_floquet,
     discriminant,
     discriminant_grid,
@@ -20,6 +21,7 @@ from cmvsubshift.spectrum import (
 from cmvsubshift.tracemap import trace_bound_check, trace_orbit
 from cmvsubshift.transfer import VerblunskyMap, transfer_product, unit_point
 from cmvsubshift.words import FIBONACCI, PERIOD_DOUBLING
+from reference import cyclic_runs_by_walking
 
 TAU = 2 * math.pi
 RNG_SEED = 314159
@@ -96,6 +98,23 @@ def test_band_edges_are_located_precisely():
     # band edge at cos(omega) = 1 - 2 a^2 = 1/2, i.e. omega = pi/3
     edges = sorted(float(lo) for lo, _ in arcs.arcs)
     assert min(abs(e - math.pi / 3) for e in edges) < 1e-9
+
+
+def test_cyclic_runs_match_walking_reference():
+    rng = np.random.default_rng(RNG_SEED)
+    masks = [
+        np.array([1, 1, 0, 0, 1, 0, 1, 1], dtype=bool),  # a run through index 0
+        np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=bool),  # runs of length 1
+        np.array([1, 0, 1, 1, 1, 1, 1, 1], dtype=bool),  # a single gap
+        np.array([1, 1, 1, 1, 1, 1, 1, 0], dtype=bool),  # a single gap at the end
+        np.array([1, 0], dtype=bool),
+        np.ones(5, dtype=bool),
+        np.zeros(5, dtype=bool),
+    ]
+    masks += [rng.uniform(0, 1, int(n)) < rng.uniform(0, 1) for n in rng.integers(1, 200, 500)]
+    for mask in masks:
+        starts, ends = _cyclic_runs(mask)
+        assert (list(starts), list(ends)) == cyclic_runs_by_walking(mask)
 
 
 def test_period_doubling_grid_route_matches_direct_product_route():

@@ -34,6 +34,7 @@ CONFIGS = [
     ("spectrum-pd10", ["spectrum", *PD, "--level", "10"]),
     ("spectrum-pd12", ["spectrum", *PD, "--level", "12"]),
     ("spectrum-pd9-curve", ["spectrum", *PD, "--level", "9", "--resolution", "4096", "--curve"]),
+    ("spectrum-pd10-curve", ["spectrum", *PD, "--level", "10", "--resolution", "65536", "--curve"]),
     ("spectrum-tm6", ["spectrum", "--rule", "thue-morse", "--level", "6", *COMPLEX_F]),
     ("spectrum-tm7", ["spectrum", "--rule", "thue-morse", "--level", "7", "--f-a", "0.2", "--f-b=-0.2"]),
     ("spectrum-fib8", ["spectrum", "--rule", "fibonacci", "--level", "8", "--f-a", "0.3", "--f-b=-0.3"]),
