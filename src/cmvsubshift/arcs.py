@@ -9,9 +9,7 @@ once; complement and intersection then work on the sorted disjoint arcs
 directly (one pass, no re-sorting), so exact endpoints are never reduced or
 compared more than once.  Floats appear only when a caller asks for them
 (JSON export, sampling, vectorized membership), and each endpoint is
-converted to a float once per set.  mpmath endpoints (from a decimal
-rotation number) are reduced and summed at CONVERSION_DPS digits, whatever
-the caller's working precision.
+converted to a float once per set.
 """
 
 from __future__ import annotations
@@ -20,19 +18,14 @@ import math
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
-import mpmath
 import numpy as np
 
 from .errors import ValidationError
-from .quadratic import CONVERSION_DPS, Quadratic
+from .quadratic import Quadratic
 
 
 def _reduce(x, period):
-    """x modulo period, in [0, period).
-
-    mpmath values reduce at the working precision, which every caller holds
-    at CONVERSION_DPS.
-    """
+    """x modulo period, in [0, period)."""
     if isinstance(x, Quadratic):
         if period != 1:
             raise ValidationError("exact endpoints require period 1")
@@ -51,10 +44,6 @@ def _approx_lo(arc):
     return arc[0].approx
 
 
-def _float_then_exact_lo(arc):
-    return (float(arc[0]), arc[0])
-
-
 def _sort_by_lo(pieces: List[Tuple]) -> None:
     """Sort arcs by their lower endpoint, in place, filter-then-verify.
 
@@ -62,15 +51,9 @@ def _sort_by_lo(pieces: List[Tuple]) -> None:
     first, then by one insertion pass with exact comparisons, which puts
     right the few neighbours whose approximations tie or cross.  The
     insertion pass alone gives the exact order; the float sort only makes it
-    take about n comparisons instead of n log n.  mpmath endpoints sort on
-    (nearest float, value): rounding to nearest is monotone, so the float
-    decides every pair it tells apart and only float ties compare in mpmath.
+    take about n comparisons instead of n log n.
     """
-    first = pieces[0][0] if pieces else None
-    if isinstance(first, mpmath.mpf):
-        pieces.sort(key=_float_then_exact_lo)
-        return
-    if not isinstance(first, Quadratic):
+    if not (pieces and isinstance(pieces[0][0], Quadratic)):
         pieces.sort(key=_lo)
         return
     pieces.sort(key=_approx_lo)
@@ -100,23 +83,22 @@ class ArcSet:
             raise ValidationError("period must be positive")
         pieces: List[Tuple] = []
         full = False
-        with mpmath.workdps(CONVERSION_DPS):
-            for lo, hi in arcs:
-                span = hi - lo
-                if span < 0 or (isinstance(span, float) and not math.isfinite(span)):
-                    raise ValidationError("arc sweep must be non-negative and finite")
-                if span == 0:
-                    continue
-                if span >= period:
-                    full = True
-                    break
-                lo_r = _reduce(lo, period)
-                hi_r = lo_r + span
-                if hi_r <= period:
-                    pieces.append((lo_r, hi_r))
-                else:
-                    pieces.append((lo_r, period))
-                    pieces.append((0 * span, hi_r - period))
+        for lo, hi in arcs:
+            span = hi - lo
+            if span < 0 or (isinstance(span, float) and not math.isfinite(span)):
+                raise ValidationError("arc sweep must be non-negative and finite")
+            if span == 0:
+                continue
+            if span >= period:
+                full = True
+                break
+            lo_r = _reduce(lo, period)
+            hi_r = lo_r + span
+            if hi_r <= period:
+                pieces.append((lo_r, hi_r))
+            else:
+                pieces.append((lo_r, period))
+                pieces.append((0 * span, hi_r - period))
         if full:
             zero = 0 * period if not isinstance(period, int) else 0
             self.period = period
@@ -172,14 +154,12 @@ class ArcSet:
     @property
     def measure(self):
         total = 0
-        with mpmath.workdps(CONVERSION_DPS):
-            for lo, hi in self.arcs:
-                total = total + (hi - lo)
+        for lo, hi in self.arcs:
+            total = total + (hi - lo)
         return total
 
     def contains(self, x) -> bool:
-        with mpmath.workdps(CONVERSION_DPS):
-            v = _reduce(x, self.period)
+        v = _reduce(x, self.period)
         for lo, hi in self.arcs:
             if lo <= v < hi:
                 return True

@@ -20,12 +20,11 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Tuple
 
-import mpmath
 import numpy as np
 
 from .errors import NumericAssertionError, ResourceCapError, ValidationError
 from .gordon import gordon_set, monte_carlo_measure
-from .quadratic import CONVERSION_DPS, Quadratic, parse_theta
+from .quadratic import parse_theta
 from .spectrum import (
     DEFAULT_RESOLUTION,
     TAU,
@@ -166,16 +165,12 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _parse_phase(text):
-    """A circle coordinate: fractions stay exact, decimals go through mpmath."""
+def _parse_phase(text) -> Fraction:
+    """A circle coordinate: a fraction, or a decimal read as the exact
+    rational it spells."""
     try:
         return Fraction(str(text))
-    except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        with mpmath.workdps(CONVERSION_DPS):
-            return mpmath.mpf(str(text))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse phase {text!r}") from exc
 
 
@@ -281,6 +276,9 @@ def cmd_spectrum(cfg: RunConfig) -> str:
     if cfg.curve is not None:
         _write_curve(cfg, sample)
     payload = {"schema": SCHEMA, "resolution": cfg.resolution, **meta, **arcs.as_dict()}
+    # the band across omega = 0 is stored as two arcs, [0, hi) and [lo, 2 pi)
+    if arcs.count >= 2 and arcs.arcs[0][0] == 0.0 and arcs.arcs[-1][1] == TAU:
+        payload["count"] -= 1
     return _json_text(payload)
 
 
@@ -299,10 +297,7 @@ def cmd_gordon(cfg: RunConfig) -> str:
     theta = parse_theta(cfg.require("theta"))
     interval = None
     if cfg.interval is not None:
-        endpoints = [_parse_phase(x) for x in cfg.interval]
-        if isinstance(theta, Quadratic):
-            endpoints = [Quadratic(e) if isinstance(e, Fraction) else e for e in endpoints]
-        interval = tuple(endpoints)
+        interval = tuple(_parse_phase(x) for x in cfg.interval)
     report = gordon_set(theta, cfg.require("index"), mode=cfg.mode, interval=interval)
     payload = {"schema": SCHEMA, "theta": str(cfg.theta), **report.as_dict()}
     if cfg.mc_samples:

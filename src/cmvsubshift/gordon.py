@@ -14,11 +14,11 @@ one-step shift, so the 2*q_n bad arcs collapse onto q_n + 1 distinct centers
 1 - 2(q_n + 1) r; a generic coding arc keeps 2*q_n arcs and the cruder bound
 1 - 4 q_n / q_{n+1}.
 
-All circle arithmetic runs exactly (quadratic irrationals) or, for a decimal
-theta, in mpmath at CONVERSION_DPS = 50 digits (``gordon_set`` sets that
-working precision around the whole construction), because r decays
-exponentially and float endpoints would dissolve into rounding noise long
-before interesting depths.
+All circle arithmetic is exact, because r decays exponentially and float
+endpoints would dissolve into rounding noise long before interesting
+depths: theta and the arc endpoints are read once with ``quadratic.exact``
+(a quadratic irrational stays one, a decimal is the rational it spells, a
+binary float of any precision is its exact binary value).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .arcs import ArcSet
 from .errors import ValidationError
-from .quadratic import CONVERSION_DPS, GOLDEN_MEAN, Quadratic
+from .quadratic import CONVERSION_DPS, GOLDEN_MEAN, Quadratic, exact
 from .words import (
     ContinuedFraction,
     RotationCoding,
@@ -45,25 +45,19 @@ from .words import (
 MODES = ("sturmian", "coding")
 
 
-def convergent_gap(theta, cf: ContinuedFraction, n: int):
-    """|q_n * theta - p_n|, in the same arithmetic as theta."""
+def convergent_gap(theta, cf: ContinuedFraction, n: int) -> Quadratic:
+    """|q_n * theta - p_n|, exactly."""
     if not 1 <= n < cf.depth:
         raise ValidationError(f"convergent index {n} out of range for depth {cf.depth}")
-    if isinstance(theta, Quadratic):
-        return abs(theta * cf.q[n] - cf.p[n])
-    with mpmath.workdps(CONVERSION_DPS):
-        return abs(mpmath.mpf(theta) * cf.q[n] - cf.p[n])
+    return abs(exact(theta) * cf.q[n] - cf.p[n])
 
 
-def _orbit_sweeps(theta, start, count: int, r) -> list:
+def _orbit_sweeps(theta: Quadratic, start: Quadratic, count: int, r: Quadratic) -> list:
     """Sweeps of radius r around the centers start - j*theta, 1 <= j <= count."""
-    exact = isinstance(theta, Quadratic)
     sweeps = []
     center = start
-    for j in range(1, count + 1):
-        # exact centers step by one subtraction; a decimal theta would add one
-        # rounding per step, so each center is computed afresh
-        center = center - theta if exact else start - theta * j
+    for _ in range(count):
+        center = center - theta
         sweeps.append((center - r, center + r))
     return sweeps
 
@@ -74,16 +68,16 @@ def bad_arcs(theta, endpoints: Sequence, n: int, cf: Optional[ContinuedFraction]
     One closed arc of radius r = |q_n*theta - p_n| around every center
     e - j*theta, for each endpoint e and 1 <= j <= q_n.
     """
+    theta = exact(theta)
     if cf is None:
         cf = continued_fraction(theta, n + 2)
     if n + 1 >= cf.depth:
         raise ValidationError("continued fraction not deep enough for this index")
-    with mpmath.workdps(CONVERSION_DPS):
-        r = convergent_gap(theta, cf, n)
-        sweeps = []
-        for e in endpoints:
-            sweeps += _orbit_sweeps(theta, e, cf.q[n], r)
-        return ArcSet(sweeps, period=1)
+    r = convergent_gap(theta, cf, n)
+    sweeps = []
+    for e in endpoints:
+        sweeps += _orbit_sweeps(theta, exact(e), cf.q[n], r)
+    return ArcSet(sweeps, period=1)
 
 
 @dataclass(frozen=True)
@@ -123,27 +117,27 @@ def gordon_set(
     interval: Optional[Tuple] = None,
 ) -> GordonReport:
     """Admissible phases at index n, their exact measure, and the lower bound."""
-    with mpmath.workdps(CONVERSION_DPS):
-        cf = continued_fraction(theta, n + 2)
-        q, q_next = cf.q[n], cf.q[n + 1]
-        r = convergent_gap(theta, cf, n)
-        if mode == "sturmian":
-            if interval is not None:
-                raise ValidationError("sturmian mode fixes the coding arc; drop the interval")
-            # the orbits of the endpoints 1 - theta and 0 share q - 1 centers:
-            # together they are the one orbit {-j*theta : 1 <= j <= q + 1}
-            bad = ArcSet(_orbit_sweeps(theta, 0 * theta, q + 1, r), period=1)
-            bound = 1 - 2 * (q + 1) * r
-            kind = "sturmian"
-        elif mode == "coding":
-            if interval is None:
-                raise ValidationError("coding mode needs the arc endpoints")
-            bad = bad_arcs(theta, interval, n, cf=cf)
-            bound = 1 - Fraction(4 * q, q_next)
-            kind = "rotation-coding"
-        else:
-            raise ValidationError(f"mode must be one of {MODES}")
-        good = bad.complement()
+    theta = exact(theta)
+    cf = continued_fraction(theta, n + 2)
+    q, q_next = cf.q[n], cf.q[n + 1]
+    r = convergent_gap(theta, cf, n)
+    if mode == "sturmian":
+        if interval is not None:
+            raise ValidationError("sturmian mode fixes the coding arc; drop the interval")
+        # the orbits of the endpoints 1 - theta and 0 share q - 1 centers:
+        # together they are the one orbit {-j*theta : 1 <= j <= q + 1}
+        bad = ArcSet(_orbit_sweeps(theta, exact(0), q + 1, r), period=1)
+        bound = 1 - 2 * (q + 1) * r
+        kind = "sturmian"
+    elif mode == "coding":
+        if interval is None:
+            raise ValidationError("coding mode needs the arc endpoints")
+        bad = bad_arcs(theta, interval, n, cf=cf)
+        bound = 1 - Fraction(4 * q, q_next)
+        kind = "rotation-coding"
+    else:
+        raise ValidationError(f"mode must be one of {MODES}")
+    good = bad.complement()
     applicable = q % 2 == 0
     if not applicable:
         warnings.warn(

@@ -26,22 +26,23 @@ carry no approximation and always take the exact test.
 (the bracket floor(|B| sqrt(d) 2^k) <= |B| sqrt(d) 2^k < that + 1 is narrowed
 until both ends round to the same float); ``to_mpf`` evaluates in mpmath at
 any working precision.
+
+Every circle coordinate is read as an exact number once, at the boundary,
+and all later arithmetic is this one: ``exact`` takes a Quadratic, an int, a
+Fraction (a decimal literal is the rational it spells), a float or a finite
+mpmath value (its exact binary value).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
 import mpmath
 
 from .errors import RationalThetaError, ValidationError
 
-RationalLike = Union[int, Fraction]
-
-# Decimal digits of all mpmath work: to_mpf's default, and every computation
-# with a decimal (mpmath) rotation number or phase.
+# Decimal digits of to_mpf's default.
 CONVERSION_DPS = 50
 
 # Triples with |A|, |B|, C below 2^FILTER_BITS (and a radicand below 2^53)
@@ -350,21 +351,34 @@ _NAMED_THETAS = {
 }
 
 
+def exact(x) -> Quadratic:
+    """x as a Quadratic, exactly: a float or a finite mpmath value is its
+    binary value, an int or a Fraction itself; anything else (nan, inf, a
+    string) raises ValidationError."""
+    if isinstance(x, Quadratic):
+        return x
+    if isinstance(x, mpmath.mpf) and mpmath.isfinite(x):
+        man, exp = x.man_exp  # |x| = man * 2^exp
+        man = -man if x < 0 else man
+        x = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    try:
+        return Quadratic(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"cannot read {x!r} as an exact circle coordinate") from None
+
+
 def parse_theta(text: str):
     """Parse a rotation number: a named constant or a decimal literal.
 
-    Named constants come back as exact Quadratic values; decimals as mpmath
-    floats at CONVERSION_DPS digits (the irrationality of such an input can
-    only be certified up to working precision -- the continued-fraction
-    routine applies that guard).
+    Named constants come back as exact Quadratic values; a decimal as the
+    Fraction it spells.
     """
     key = text.strip().lower()
     if key in _NAMED_THETAS:
         return _NAMED_THETAS[key]
     try:
-        with mpmath.workdps(CONVERSION_DPS):
-            val = +mpmath.mpf(key)
-    except ValueError:
+        val = Fraction(key)
+    except (ValueError, ZeroDivisionError):
         raise ValidationError(f"unrecognized rotation number {text!r}") from None
     if not 0 < val < 1:
         raise ValidationError("rotation number must lie strictly between 0 and 1")
@@ -374,44 +388,24 @@ def parse_theta(text: str):
 def continued_fraction_terms(theta, depth: int) -> list:
     """First ``depth`` partial quotients a_0, ..., a_{depth-1} of theta in (0,1).
 
-    theta may be exact (Quadratic / Fraction) or an mpmath/float value.  For
-    inexact input a rationality guard aborts if the remainder drops below the
-    precision floor, since further quotients would be noise.
+    theta is anything ``exact`` reads; the expansion is exact, and a
+    remainder of zero (a rational theta) raises RationalThetaError.
     """
     if depth < 1:
         raise ValidationError("depth must be >= 1")
+    x = exact(theta)
+    if not 0 < x < 1:
+        raise ValidationError("rotation number must lie strictly between 0 and 1")
     terms = []
-    if isinstance(theta, (Quadratic, Fraction, int)):
-        x = theta if isinstance(theta, Quadratic) else Quadratic(theta)
-        if not (Quadratic(0) < x < Quadratic(1)):
-            raise ValidationError("rotation number must lie strictly between 0 and 1")
-        for k in range(depth):
-            a = math.floor(x)
-            terms.append(a)
-            x = x - a
-            if k + 1 == depth:
-                break
-            if x.sign() == 0:
-                raise RationalThetaError(
-                    "continued fraction terminated: rotation number is rational"
-                )
-            x = 1 / x
-        return terms
-    with mpmath.workdps(CONVERSION_DPS):
-        x = +mpmath.mpf(theta)
-        if not 0 < x < 1:
-            raise ValidationError("rotation number must lie strictly between 0 and 1")
-        floor_eps = mpmath.mpf(10) ** (-(CONVERSION_DPS - 10))
-        for k in range(depth):
-            a = int(mpmath.floor(x))
-            terms.append(a)
-            x = x - a
-            if k + 1 == depth:
-                break
-            if x < floor_eps:
-                raise RationalThetaError(
-                    "continued fraction terminated within working precision; "
-                    "rotation number is rational (or precision too low)"
-                )
-            x = 1 / x
+    for k in range(depth):
+        a = math.floor(x)
+        terms.append(a)
+        x = x - a
+        if k + 1 == depth:
+            break
+        if x.sign() == 0:
+            raise RationalThetaError(
+                "continued fraction terminated: rotation number is rational"
+            )
+        x = 1 / x
     return terms

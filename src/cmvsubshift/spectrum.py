@@ -49,14 +49,10 @@ CHUNK = 1 << 14  # angles per block evaluation: keeps the blocks in cache
 
 @dataclass(frozen=True)
 class PeriodicAlphas:
-    """A periodic coefficient sequence anchored at a start site.
-
-    alpha(n) = values[(n - start) mod q]; the default anchor start = 1 makes
-    values the coefficients of sites 1..q, matching word positions.
-    """
+    """A periodic coefficient sequence: values are the coefficients of sites
+    1..q, matching word positions, so alpha(n) = values[(n - 1) mod q]."""
 
     values: tuple
-    start: int = 1
 
     def __post_init__(self):
         vals = tuple(complex(v) for v in self.values)
@@ -71,7 +67,7 @@ class PeriodicAlphas:
         return len(self.values)
 
     def alpha(self, n: int) -> complex:
-        return self.values[(n - self.start) % self.period]
+        return self.values[(n - 1) % self.period]
 
 
 def periodic_approximant(
@@ -87,7 +83,7 @@ def periodic_approximant(
     values = tuple(f.alpha(c) for c in fixed_point_prefix(rule, level))
     if len(values) % 2:
         values *= 2
-    return PeriodicAlphas(values, start=1)
+    return PeriodicAlphas(values)
 
 
 def discriminant_grid(z: np.ndarray, alphas: PeriodicAlphas) -> np.ndarray:

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from .errors import NumericAssertionError, ValidationError
-from .words import Window, Word
+from .words import Window, Word, check_three_block, check_two_block
 
 UNIT_MODULUS_TOL = 1e-8
 UNIT_ROUNDOFF = 2.0**-53
@@ -283,18 +283,6 @@ class GordonCheck:
     holds: bool
 
 
-def _require_blocks(alphas: AlphaSource, n: int, sides: int):
-    for j in range(1, n + 1):
-        if alphas(j) != alphas(j + n):
-            raise ValidationError(
-                f"coefficients fail the repetition condition at site {j}"
-            )
-        if sides == 3 and alphas(j - n) != alphas(j):
-            raise ValidationError(
-                f"coefficients fail the two-sided repetition condition at site {j}"
-            )
-
-
 def gordon_inequality_check(
     alphas: AlphaSource,
     z: complex,
@@ -319,8 +307,10 @@ def gordon_inequality_check(
     if norm == 0:
         raise ValidationError("seed must be nonzero")
     s = s / norm
-    _require_blocks(alphas, n, 2 if variant == "two" else 3)
     lo = -n if variant == "three" else 0
+    window = Window([alphas(j) for j in range(lo + 1, 2 * n + 1)], lo + 1)
+    if not (check_three_block if variant == "three" else check_two_block)(window, n):
+        raise ValidationError(f"coefficients fail the {variant}-block repetition condition")
     sol = propagate(alphas, z, s, lo, 2 * n)
     tr = np.trace(transfer_product(alphas, z, 1, n))
     norms = {"n": sol.norm_at(n), "2n": sol.norm_at(2 * n)}

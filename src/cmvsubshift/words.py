@@ -4,7 +4,9 @@ Everything downstream reads Verblunsky coefficients off two-letter words, so
 this module owns the combinatorial side: substitution rules and their fixed
 points, circle-rotation codings (Sturmian words as the special case), the
 continued-fraction data of a rotation number, and the repetition ("block")
-checks that the Gordon criteria need.
+checks that the Gordon criteria need.  Circle positions are exact: a
+rotation number, phase or arc endpoint is read once with
+``quadratic.exact``, so a decimal input is the rational it spells.
 
 Indexing follows the operator convention: word positions are 1-based, and
 two-sided windows carry their own offset so that position j of the window is
@@ -17,10 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-import mpmath
-
 from .errors import ResourceCapError, ValidationError
-from .quadratic import CONVERSION_DPS, Quadratic, continued_fraction_terms
+from .quadratic import Quadratic, continued_fraction_terms, exact
 
 ALPHABET = ("a", "b")
 
@@ -161,30 +161,13 @@ def fixed_point_prefix(
 # ---------------------------------------------------------------------------
 
 
-def _as_mpf(x):
-    with mpmath.workdps(CONVERSION_DPS):
-        if isinstance(x, Quadratic):
-            return x.to_mpf()
-        if isinstance(x, Fraction):
-            return mpmath.mpf(x.numerator) / x.denominator
-        return +mpmath.mpf(x)
-
-
-def _circle_value(x):
-    """Reduce a circle coordinate to [0, 1) in mpmath."""
-    with mpmath.workdps(CONVERSION_DPS):
-        v = _as_mpf(x)
-        return v - mpmath.floor(v)
-
-
 class RotationCoding:
     """Letters read off an irrational rotation through a half-open arc.
 
     Position n maps to the circle point n*theta + beta (mod 1); the letter is
     ``letter_in`` when the point lands in [lo, hi) (interpreted with
-    wraparound when lo > hi) and ``letter_out`` otherwise.  With exact
-    (quadratic-irrational) inputs every membership test is exact; otherwise
-    arithmetic runs in mpmath at CONVERSION_DPS digits.
+    wraparound when lo > hi) and ``letter_out`` otherwise.  Every input is
+    read with ``exact``, so every membership test is exact.
     """
 
     def __init__(
@@ -198,48 +181,21 @@ class RotationCoding:
     ):
         if letter_in not in ALPHABET or letter_out not in ALPHABET or letter_in == letter_out:
             raise ValidationError("letter map must assign distinct alphabet letters")
-        exact = isinstance(theta, Quadratic)
-        if exact and theta.is_rational:
+        if isinstance(theta, Quadratic) and theta.is_rational:
             raise ValidationError("rotation number must be irrational")
-        if exact:
-            theta_v = theta.frac()
-            beta_v = self._exactify(beta).frac()
-            lo_v = self._exactify(lo).frac()
-            hi_raw = self._exactify(hi)
-            hi_v = Quadratic(1) if hi_raw == Quadratic(1) else hi_raw.frac()
-        else:
-            theta_v = _circle_value(theta)
-            beta_v = _circle_value(beta)
-            lo_v = _circle_value(lo)
-            hi_f = _as_mpf(hi)
-            hi_v = hi_f if hi_f == 1 else _circle_value(hi_f)
-        if lo_v == hi_v:
+        hi = exact(hi)
+        self.theta = exact(theta).frac()
+        self.beta = exact(beta).frac()
+        self.lo = exact(lo).frac()
+        self.hi = hi if hi == 1 else hi.frac()
+        if self.lo == self.hi:
             raise ValidationError("coding arc must have positive length")
-        self.exact = exact
-        self.theta = theta_v
-        self.beta = beta_v
-        self.lo = lo_v
-        self.hi = hi_v
         self.letter_in = letter_in
         self.letter_out = letter_out
 
-    @staticmethod
-    def _exactify(x):
-        if isinstance(x, Quadratic):
-            return x
-        if isinstance(x, (int, Fraction, float)):
-            return Quadratic(Fraction(x))
-        raise ValidationError(
-            "exact rotation numbers require exact phase/endpoint values"
-        )
-
-    def position(self, n: int):
+    def position(self, n: int) -> Quadratic:
         """Circle point n*theta + beta reduced to [0, 1)."""
-        if self.exact:
-            return (self.theta * n + self.beta).frac()
-        with mpmath.workdps(CONVERSION_DPS):
-            v = self.theta * n + self.beta
-            return v - mpmath.floor(v)
+        return (self.theta * n + self.beta).frac()
 
     def arc_contains(self, x) -> bool:
         if self.lo < self.hi:
@@ -257,10 +213,7 @@ class RotationCoding:
 
 def sturmian_coding(theta, beta) -> RotationCoding:
     """The Sturmian coding: arc [1 - theta, 1), inside letter 'a'."""
-    if isinstance(theta, Quadratic):
-        return RotationCoding(theta, beta, Quadratic(1) - theta, 1)
-    with mpmath.workdps(CONVERSION_DPS):
-        return RotationCoding(theta, beta, 1 - mpmath.mpf(theta), 1)
+    return RotationCoding(theta, beta, 1 - exact(theta), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,47 @@ def test_gordon_sturmian_rejects_interval(capsys):
     assert code == 2 and "interval" in err
 
 
+GOLDEN_55 = "0.6180339887498948482045868343656381177203091798057628621"
+
+
+@pytest.mark.filterwarnings("ignore:q_.* is odd")
+def test_gordon_decimal_theta_coding_matches_golden(capsys):
+    # a decimal theta and fraction endpoints meet in one exact arithmetic
+    args = ("--n", "13", "--mode", "coding", "--interval", "143/1000", "556/1000")
+    code, out, _ = run_cli(capsys, "gordon", "--theta", GOLDEN_55, *args)
+    assert code == 0
+    code, golden_out, _ = run_cli(capsys, "gordon", "--theta", "golden", *args)
+    assert code == 0
+    doc, golden = json.loads(out), json.loads(golden_out)
+    assert doc.pop("theta") == GOLDEN_55 and golden.pop("theta") == "golden"
+    assert doc == golden
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gordon", "--theta", "golden", "--n", "9", "--mode", "coding", "--interval", "nan", "0.4"),
+        ("word", "--sturmian", "--theta", "0.618", "--beta", "nan", "--range", "1..5"),
+    ],
+    ids=["gordon-interval", "word-beta"],
+)
+def test_nan_phase_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "nan" in err
+
+
+def test_spectrum_count_joins_the_band_across_zero(capsys):
+    code, out, _ = run_cli(
+        capsys, "spectrum", "--rule", "thue-morse", "--level", "4", "--f-a", "0.3", "--f-b=-0.3"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    arcs = doc["arcs"]
+    assert arcs[0]["lo"] == 0.0 and arcs[-1]["hi"] == 2 * math.pi and len(arcs) == 9
+    assert doc["count"] == 8
+
+
 def test_floquet_check_report(capsys):
     code, out, _ = run_cli(
         capsys,

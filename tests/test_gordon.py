@@ -123,8 +123,10 @@ def test_exact_and_mpf_routes_agree():
 @pytest.mark.parametrize("n", [12, 20, 24])
 @pytest.mark.filterwarnings("ignore:q_.* is odd")
 def test_decimal_theta_runs_at_conversion_precision(n):
-    # 55 digits of the golden mean: at 50 working digits the decimal route
-    # lands on the exact route's floats; at 15 digits it drifts in the 9th
+    # 55 digits of the golden mean, read as the exact rational they spell:
+    # it lies within 1e-55 of the golden mean, so every centre and gap moves
+    # by less than q_n * 1e-55 and the decimal route lands on the exact
+    # route's floats
     decimal = parse_theta("0.6180339887498948482045868343656381177203091798057628621")
     approx = gordon_set(decimal, n)
     exact = gordon_set(GOLDEN_MEAN, n)

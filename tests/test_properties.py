@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmvsubshift.quadratic import Quadratic
+from cmvsubshift.errors import ValidationError
+from cmvsubshift.quadratic import Quadratic, exact
 from cmvsubshift.spectrum import (
     PeriodicAlphas,
     band_arcs_from_function,
@@ -320,3 +321,37 @@ def test_quadratic_float_rounds_values_next_to_a_midpoint(d, s, j):
         ref = 1 + j * mpmath.mpf(2) ** -53 + residual
         assert float(x) == float(ref)
     assert float(x) == 1 + (j + 1 if residual > 0 else j - 1) * 2.0**-53
+
+
+# -- reading circle coordinates exactly ---------------------------------------
+
+
+@st.composite
+def binary_values(draw):
+    """A float, or a finite mpmath value rounded to 15-60 decimal digits."""
+    if draw(st.booleans()):
+        return draw(st.floats(allow_nan=False, allow_infinity=False))
+    dps = draw(st.integers(15, 60))
+    mantissa = draw(st.integers(-(10**dps), 10**dps))
+    with mpmath.workdps(dps):
+        return mpmath.mpf(mantissa) * mpmath.mpf(10) ** draw(st.integers(-400, 400))
+
+
+@QUADRATIC_PROPERTY
+@given(x=binary_values())
+def test_exact_reads_binary_values_without_rounding(x):
+    value = exact(x)
+    assert value.is_rational
+    assert value.to_mpf(200) == x
+    if isinstance(x, float):
+        assert float(value) == x
+
+
+@pytest.mark.parametrize(
+    "x",
+    [math.inf, -math.inf, math.nan, mpmath.inf, -mpmath.inf, mpmath.nan,
+     "0.5", None, 0.5j, mpmath.mpc(0.5, 0), [0.5]],
+)
+def test_exact_rejects_non_finite_and_non_numbers(x):
+    with pytest.raises(ValidationError):
+        exact(x)

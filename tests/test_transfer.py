@@ -164,6 +164,8 @@ def test_gordon_check_rejects_broken_blocks():
     vals = {j: 0.1 * j for j in range(-8, 9)}
     with pytest.raises(ValidationError):
         gordon_inequality_check(lambda n: vals[n], 1.0, 2, variant="two")
+    with pytest.raises(ValidationError):  # sites 1..4 repeat, sites -1..0 do not
+        gordon_inequality_check(lambda n: 0.1 if n >= 1 else 0.2, 1.0, 2, variant="three")
     with pytest.raises(ValidationError):
         gordon_inequality_check(lambda n: 0.0, 1.0, 3, variant="two")  # odd length
     with pytest.raises(ValidationError):

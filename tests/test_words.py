@@ -134,8 +134,9 @@ def test_coding_arc_membership_is_half_open():
 
 @pytest.mark.parametrize("quadratic", [GOLDEN_MEAN, SQRT2_MINUS_1])
 def test_decimal_sturmian_coding_resolves_its_endpoint(quadratic):
-    # the arc [1 - theta, 1) of a decimal theta is set at 50 digits, so a
-    # phase on its left endpoint reads inside and one 1e-40 below reads outside
+    # a 50-digit mpmath theta is read as its exact binary value, so the arc
+    # [1 - theta, 1) is exact: a phase on its left endpoint reads inside and
+    # one 1e-40 below reads outside
     theta = quadratic.to_mpf()
     with mpmath.workdps(50):
         on_edge = 1 - theta

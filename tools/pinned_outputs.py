@@ -28,6 +28,7 @@ import tempfile
 
 PD = ["--rule", "period-doubling", "--f-a", "0.3", "--f-b=-0.3"]
 COMPLEX_F = ["--f-a", "0.25+0.1j", "--f-b=-0.2j"]
+GOLDEN_55 = "0.6180339887498948482045868343656381177203091798057628621"  # 55 digits
 
 CONFIGS = [
     ("spectrum-pd7", ["spectrum", *PD, "--level", "7"]),
@@ -59,8 +60,11 @@ CONFIGS = [
     ("word-pd", ["word", "--rule", "period-doubling", "--level", "6"]),
     ("word-sturmian", ["word", "--sturmian", "--theta", "golden", "--beta", "1/7", "--range=-20..40"]),
     ("cf", ["cf", "--theta", "sqrt2-1", "--depth", "12"]),
-    ("gordon-decimal-golden-20", ["gordon", "--theta", "0.6180339887498948482045868343656381177203091798057628621",
-                                  "--n", "20"]),
+    ("gordon-decimal-golden-20", ["gordon", "--theta", GOLDEN_55, "--n", "20"]),
+    ("word-sturmian-decimal", ["word", "--sturmian", "--theta", GOLDEN_55, "--beta", "1/7",
+                               "--range=-20..40"]),
+    ("gordon-decimal-coding", ["gordon", "--theta", GOLDEN_55, "--n", "13", "--mode", "coding",
+                               "--interval", "143/1000", "556/1000"]),
 ]
 
 
