@@ -6,6 +6,9 @@ product -- the discriminant -- lies in [-2, 2].  This module computes
 discriminants, extracts the band arcs by adaptive grid scanning plus
 bisection on |disc| = 2, and builds the finite q x q Floquet operator whose
 eigenvalues give the exact band correspondence disc(z0) = phi + 1/phi.
+Those eigenvalues come from a Hermitian eigensolve of the rotated real part
+of the unitary operator, accepted only when their residual certifies them;
+the general eigensolver runs only where that check fails.
 
 Every discriminant comes from the pair-form product of ``transfer`` and is
 real by construction; its one check is the determinant drift in
@@ -45,6 +48,14 @@ DEFAULT_RESOLUTION = 1 << 14
 MAX_RESOLUTION = 1 << 20
 EDGE_ANGLE_TOL = 1e-10
 CHUNK = 1 << 14  # angles per block evaluation: keeps the blocks in cache
+# Floquet eigenvalues: the rotation gamma of H = (e^{-i gamma} U + e^{i gamma} U*)/2,
+# and the bound on the eigenpair residual ||UV - V Lambda||_F, per site.  Not
+# gamma = 0 or pi: real coefficients at phi = +-1 give a spectrum closed under
+# conjugation, which ties cos(omega - gamma) for every pair there.  Over the
+# periodic benchmark pools x 16 phases, 1,398 of 1,408 operators pass with
+# ||R||_F / q <= 9.2e-13 (CHANGES.md has the distribution).
+FLOQUET_ROTATION = 1.0
+FLOQUET_RESIDUAL_PER_SITE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -291,7 +302,28 @@ class FloquetOperator:
         return float(np.linalg.norm(e @ e.conj().T - np.eye(self.q), "fro"))
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.mat)
+        """Eigenvalues of the unitary operator U, in no particular order.
+
+        H = (e^{-i gamma} U + e^{i gamma} U*)/2 is Hermitian and shares U's
+        eigenvectors, with eigenvalues cos(omega - gamma) for gamma =
+        ``FLOQUET_ROTATION``.  ``eigh`` gives its orthonormal eigenvectors V;
+        the eigenvalues are the Rayleigh quotients lambda_j = v_j* U v_j.
+        They are accepted when ||UV - V Lambda||_F <= FLOQUET_RESIDUAL_PER_SITE
+        * q: V is unitary, so by Hoffman-Wielandt the multiset {lambda_j} is
+        then within that residual of U's eigenvalues.  Otherwise -- a near
+        tie cos(omega_1 - gamma) = cos(omega_2 - gamma) mixed two distant
+        eigenvectors -- this operator falls back to ``numpy.linalg.eigvals``.
+        """
+        u = self.mat
+        h = np.exp(-1j * FLOQUET_ROTATION) * u
+        h += h.conj().T  # 2H: the factor does not move eigenvectors
+        _, v = np.linalg.eigh(h)
+        uv = u @ v
+        lam = np.einsum("ij,ij->j", v.conj(), uv)
+        uv -= v * lam
+        if np.linalg.norm(uv) <= FLOQUET_RESIDUAL_PER_SITE * self.q:
+            return lam
+        return np.linalg.eigvals(u)
 
 
 def build_floquet(alphas: PeriodicAlphas, phi: complex) -> FloquetOperator:
@@ -300,7 +332,9 @@ def build_floquet(alphas: PeriodicAlphas, phi: complex) -> FloquetOperator:
     Two block-diagonal unitaries interleave: one carries the blocks at even
     offsets 0, 2, ..., q-2, the other the odd offsets 1, 3, ..., q-3 plus a
     wrapped corner block twisted by phi.  Their product is unitary and its
-    eigenvalues z0 solve disc(z0) = phi + 1/phi.
+    eigenvalues z0 solve disc(z0) = phi + 1/phi.  Row pair (j, j+1) of the
+    product is the even block at j times rows j, j+1 of the odd factor, so
+    it costs 2 x 2 by 2 x q products, not a dense q x q one.
     """
     q = alphas.period
     if q < 4 or q % 2:
@@ -309,9 +343,7 @@ def build_floquet(alphas: PeriodicAlphas, phi: complex) -> FloquetOperator:
     if abs(abs(phi) - 1.0) > UNIT_MODULUS_TOL:
         raise ValidationError("Floquet phase must sit on the unit circle")
 
-    even_part = np.zeros((q, q), dtype=complex)
-    for j in range(0, q, 2):
-        even_part[j : j + 2, j : j + 2] = theta_matrix(alphas.alpha(j))
+    even_blocks = np.array([theta_matrix(alphas.alpha(j)) for j in range(0, q, 2)])
 
     odd_part = np.zeros((q, q), dtype=complex)
     for j in range(1, q - 2, 2):
@@ -322,7 +354,7 @@ def build_floquet(alphas: PeriodicAlphas, phi: complex) -> FloquetOperator:
     odd_part[0, q - 1] = corner[1, 0] / phi
     odd_part[0, 0] = corner[1, 1]
 
-    return FloquetOperator(even_part @ odd_part, q, phi)
+    return FloquetOperator((even_blocks @ odd_part.reshape(q // 2, 2, q)).reshape(q, q), q, phi)
 
 
 def floquet_discriminant_residual(

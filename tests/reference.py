@@ -5,7 +5,8 @@ single-site matrix is written out from the ``transfer.py`` docstring, with
 1/z in the lower row of an odd site, and products are plain 2x2 numpy
 products, so tests can check the pair-form kernels against it.  The band
 scan's re-evaluates the whole grid at every doubling and finds each run's
-end by walking it.
+end by walking it.  The Floquet eigensolve's is ``numpy.linalg.eigvals``,
+compared as a multiset of angles.
 """
 
 import math
@@ -40,6 +41,21 @@ def word_product(word, z, f):
 def det2(m):
     """Determinant of a 2x2 matrix, written out."""
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
+def angle_mismatch(z, ref):
+    """Largest gap between the sorted angles of z and of ref, two multisets of
+    points near the unit circle.  Angles are read from the middle of ref's
+    widest gap, so no point sits on the cut and sorting pairs them up."""
+    t = np.sort(np.angle(ref))
+    gaps = np.diff(np.append(t, t[0] + 2 * math.pi))
+    k = int(np.argmax(gaps))
+    turn = -np.exp(-1j * (t[k] + gaps[k] / 2))  # the cut moves to that middle
+
+    def angles(w):
+        return np.sort(np.angle(np.asarray(w) * turn))
+
+    return float(np.max(np.abs(angles(z) - angles(ref))))
 
 
 def cyclic_runs_by_walking(mask):

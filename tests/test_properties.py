@@ -22,12 +22,13 @@ from cmvsubshift.spectrum import (
     build_floquet,
     discriminant,
     discriminant_sampler,
+    periodic_approximant,
     substitution_discriminant,
 )
 from cmvsubshift.tracemap import classify_orbit, trace_orbit
 from cmvsubshift.transfer import VerblunskyMap, unit_point
 from cmvsubshift.words import FIBONACCI, PERIOD_DOUBLING, THUE_MORSE, fixed_point_prefix, substitution_word
-from reference import full_grid_band_arcs, word_product
+from reference import angle_mismatch, full_grid_band_arcs, word_product
 
 angles = st.floats(0.0, 2 * math.pi, allow_nan=False)
 
@@ -84,6 +85,42 @@ def test_discriminant_at_floquet_eigenvalues(values, theta):
     phi = unit_point(theta)
     for z0 in build_floquet(alphas, phi).eigenvalues():
         assert abs(discriminant(z0 / abs(z0), alphas) - 2 * math.cos(theta)) < 1e-8
+
+
+def random_disk_values(seed, count, radius=0.9):
+    rng = np.random.default_rng(seed)
+    return radius * np.sqrt(rng.uniform(0, 1, count)) * np.exp(2j * np.pi * rng.uniform(0, 1, count))
+
+
+FLOQUET_PROPERTY = settings(derandomize=True, deadline=None, max_examples=10)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@FLOQUET_PROPERTY
+@given(half=st.integers(2, 128), seed=seeds, theta=angles)
+def test_floquet_eigenvalues_match_general_eigensolver(half, seed, theta):
+    flo = build_floquet(PeriodicAlphas(tuple(random_disk_values(seed, 2 * half))), unit_point(theta))
+    assert angle_mismatch(flo.eigenvalues(), np.linalg.eigvals(flo.mat)) <= 1e-12
+
+
+@FLOQUET_PROPERTY
+@given(half=st.integers(1, 8), repeats=st.integers(2, 16), seed=seeds, phi=st.sampled_from([1.0, -1.0]))
+def test_floquet_eigenvalues_at_closed_gaps(half, repeats, seed, phi):
+    # a real block repeated r times: at phi = +-1 the q-periodic operator's
+    # eigenvalues are those of the block at the r-th roots of phi, and the
+    # roots w, 1/w give the same discriminant -- double eigenvalues
+    block = random_disk_values(seed, 2 * half).real
+    flo = build_floquet(PeriodicAlphas(tuple(block) * repeats), phi)
+    assert angle_mismatch(flo.eigenvalues(), np.linalg.eigvals(flo.mat)) <= 1e-12
+
+
+@pytest.mark.parametrize("phi", [1.0, -1.0])
+def test_floquet_eigenvalues_period_doubling_level_9(phi):
+    # real coefficients at a real phase give a real matrix: the reference runs
+    # the real general eigensolver on it, a quarter of the complex one's cost
+    flo = build_floquet(periodic_approximant(PERIOD_DOUBLING, 9, VerblunskyMap(0.3, -0.3)), phi)
+    assert flo.q == 512 and not flo.mat.imag.any()
+    assert angle_mismatch(flo.eigenvalues(), np.linalg.eigvals(flo.mat.real)) <= 1e-12
 
 
 @pytest.mark.parametrize("rule", [PERIOD_DOUBLING, THUE_MORSE, FIBONACCI], ids=["pd", "tm", "fib"])

@@ -7,6 +7,7 @@ import pytest
 
 from cmvsubshift.errors import ValidationError
 from cmvsubshift.spectrum import (
+    FLOQUET_ROTATION,
     FloquetOperator,
     PeriodicAlphas,
     _cyclic_runs,
@@ -21,7 +22,7 @@ from cmvsubshift.spectrum import (
 from cmvsubshift.tracemap import trace_bound_check, trace_orbit
 from cmvsubshift.transfer import VerblunskyMap, transfer_product, unit_point
 from cmvsubshift.words import FIBONACCI, PERIOD_DOUBLING
-from reference import cyclic_runs_by_walking
+from reference import angle_mismatch, cyclic_runs_by_walking
 
 TAU = 2 * math.pi
 RNG_SEED = 314159
@@ -175,6 +176,43 @@ def test_floquet_eigenvalues_satisfy_band_equation():
             rep = floquet_discriminant_residual(al, unit_point(ang))
             assert rep["unitarity_defect"] < 1e-12
             assert rep["worst_residual"] < 1e-8
+
+
+def counting_eigvals(monkeypatch):
+    """Route np.linalg.eigvals through a counter; returns the call list."""
+    calls, general = [], np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return general(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls, general
+
+
+def test_floquet_eigenvalues_fall_back_on_a_rotation_tie(monkeypatch):
+    # e^{i(gamma + t)} and e^{i(gamma - t)} share cos(omega - gamma), so the
+    # Hermitian eigensolve mixes their eigenvectors and only the residual
+    # check keeps the mixed Rayleigh quotients out of the result
+    rng = np.random.default_rng(RNG_SEED + 4)
+    q = 8
+    t = rng.uniform(0.3, 2.8, q // 2)
+    omegas = FLOQUET_ROTATION + np.concatenate([t, -t])
+    basis, _ = np.linalg.qr(rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q)))
+    flo = FloquetOperator(basis @ np.diag(np.exp(1j * omegas)) @ basis.conj().T, q, 1.0)
+    calls, general = counting_eigvals(monkeypatch)
+    z0 = flo.eigenvalues()
+    assert calls == [(q, q)]
+    assert angle_mismatch(z0, general(flo.mat)) <= 1e-12
+    assert angle_mismatch(z0, np.exp(1j * omegas)) <= 1e-12
+
+
+def test_floquet_eigenvalues_skip_the_fallback_when_certified(monkeypatch):
+    calls, general = counting_eigvals(monkeypatch)
+    flo = build_floquet(random_alphas(np.random.default_rng(RNG_SEED + 5), 32), unit_point(0.4))
+    z0 = flo.eigenvalues()
+    assert calls == []
+    assert angle_mismatch(z0, general(flo.mat)) <= 1e-12
 
 
 def test_floquet_on_substitution_approximant():
