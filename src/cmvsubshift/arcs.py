@@ -5,11 +5,14 @@ Gordon phase sets live on the torus R/Z (period 1, exact Fraction/Quadratic
 endpoints).  One container serves both: endpoints may be any totally ordered
 numeric type closed under subtraction, and all set algebra (merge, complement,
 intersection, measure) stays in that type.  Construction sorts and merges
-once; complement and intersection then work on the sorted disjoint arcs
+once (exact endpoints: a sort by their floats, then one exact insertion
+pass); complement and intersection then work on the sorted disjoint arcs
 directly (one pass, no re-sorting), so exact endpoints are never reduced or
-compared more than once.  Floats appear only when a caller asks for them
-(JSON export, sampling, vectorized membership), and each endpoint is
-converted to a float once per set.
+compared more than once.  The measure is summed once per set.  Floats
+appear only when a caller asks for them (JSON export, sampling, vectorized
+membership), and each endpoint is converted to a float once per set.  An
+arc across 0 is stored as two pieces, [0, hi) and [lo, period); ``count``
+is the number of pieces, the JSON "count" the number of arcs on the circle.
 """
 
 from __future__ import annotations
@@ -40,23 +43,23 @@ def _lo(arc):
     return arc[0]
 
 
-def _approx_lo(arc):
-    return arc[0].approx
+def _float_lo(arc):
+    return float(arc[0])
 
 
 def _sort_by_lo(pieces: List[Tuple]) -> None:
-    """Sort arcs by their lower endpoint, in place, filter-then-verify.
+    """Sort arcs by their lower endpoint, in place.
 
-    Exact Quadratic endpoints are sorted by their float approximations
-    first, then by one insertion pass with exact comparisons, which puts
-    right the few neighbours whose approximations tie or cross.  The
-    insertion pass alone gives the exact order; the float sort only makes it
-    take about n comparisons instead of n log n.
+    Exact Quadratic endpoints are sorted by their floats first, then by one
+    insertion pass with exact comparisons, which puts right the few
+    neighbours whose floats tie.  The insertion pass alone gives the exact
+    order; the float sort only makes it take about n comparisons instead of
+    n log n.
     """
     if not (pieces and isinstance(pieces[0][0], Quadratic)):
         pieces.sort(key=_lo)
         return
-    pieces.sort(key=_approx_lo)
+    pieces.sort(key=_float_lo)
     for i in range(1, len(pieces)):
         item = pieces[i]
         lo = item[0]
@@ -76,7 +79,7 @@ class ArcSet:
     sweep of length >= period fills the circle.
     """
 
-    __slots__ = ("period", "arcs", "_floats")
+    __slots__ = ("period", "arcs", "_floats", "_measure")
 
     def __init__(self, arcs: Iterable[Tuple], period=1):
         if isinstance(period, (int, float)) and not period > 0:
@@ -99,23 +102,20 @@ class ArcSet:
             else:
                 pieces.append((lo_r, period))
                 pieces.append((0 * span, hi_r - period))
-        if full:
-            zero = 0 * period if not isinstance(period, int) else 0
-            self.period = period
-            self.arcs = [(zero, period)]
-            self._floats = None
-            return
-        _sort_by_lo(pieces)
         merged: List[Tuple] = []
-        for lo, hi in pieces:
-            if merged and lo <= merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], hi)
-            else:
-                merged.append((lo, hi))
+        if full:
+            merged.append((0 * period if not isinstance(period, int) else 0, period))
+        else:
+            _sort_by_lo(pieces)
+            for lo, hi in pieces:
+                if merged and lo <= merged[-1][1]:
+                    if hi > merged[-1][1]:
+                        merged[-1] = (merged[-1][0], hi)
+                else:
+                    merged.append((lo, hi))
         self.period = period
         self.arcs = merged
-        self._floats = None
+        self._floats = self._measure = None
 
     @classmethod
     def _from_normal_form(cls, arcs: List[Tuple], period) -> "ArcSet":
@@ -124,7 +124,7 @@ class ArcSet:
         out = object.__new__(cls)
         out.period = period
         out.arcs = arcs
-        out._floats = None
+        out._floats = out._measure = None
         return out
 
     # -- constructors --------------------------------------------------------
@@ -153,10 +153,13 @@ class ArcSet:
 
     @property
     def measure(self):
-        total = 0
-        for lo, hi in self.arcs:
-            total = total + (hi - lo)
-        return total
+        """Total length in the endpoints' type, summed once per set."""
+        if self._measure is None:
+            total = 0
+            for lo, hi in self.arcs:
+                total = total + (hi - lo)
+            self._measure = total
+        return self._measure
 
     def contains(self, x) -> bool:
         v = _reduce(x, self.period)
@@ -250,9 +253,15 @@ class ArcSet:
         return los[which] + rng.uniform(0.0, 1.0, count) * (his[which] - los[which])
 
     def as_dict(self) -> dict:
+        """JSON form.  "count" is the number of arcs on the circle: an arc
+        across 0, stored as [0, hi) and [lo, period), counts once."""
+        arcs = self.arcs
+        count = len(arcs)
+        if count >= 2 and arcs[0][0] == 0 and arcs[-1][1] == self.period:
+            count -= 1
         return {
             "period": float(self.period),
-            "count": self.count,
+            "count": count,
             "measure": float(self.measure),
             "arcs": [{"lo": lo, "hi": hi} for lo, hi in zip(*self._float_endpoints())],
         }

@@ -275,11 +275,7 @@ def cmd_spectrum(cfg: RunConfig) -> str:
     arcs = band_arcs_from_function(sample, cfg.resolution)
     if cfg.curve is not None:
         _write_curve(cfg, sample)
-    payload = {"schema": SCHEMA, "resolution": cfg.resolution, **meta, **arcs.as_dict()}
-    # the band across omega = 0 is stored as two arcs, [0, hi) and [lo, 2 pi)
-    if arcs.count >= 2 and arcs.arcs[0][0] == 0.0 and arcs.arcs[-1][1] == TAU:
-        payload["count"] -= 1
-    return _json_text(payload)
+    return _json_text({"schema": SCHEMA, "resolution": cfg.resolution, **meta, **arcs.as_dict()})
 
 
 def cmd_trace(cfg: RunConfig) -> str:

@@ -28,12 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-import mpmath
 import numpy as np
 
 from .arcs import ArcSet
 from .errors import ValidationError
-from .quadratic import CONVERSION_DPS, GOLDEN_MEAN, Quadratic, exact
+from .quadratic import GOLDEN_MEAN, Quadratic, exact
 from .words import (
     ContinuedFraction,
     RotationCoding,
@@ -220,23 +219,21 @@ def golden_limits(depth: int) -> GoldenLimitsReport:
     As the depth grows the ratio approaches the golden ratio (1 + sqrt 5)/2
     and the scaled gap approaches 1/sqrt 5; the report carries raw values and
     signed distances to those targets, making no convergence claim itself.
+    Every field is an exact value rounded once to float.
     """
     if depth < 1:
         raise ValidationError("depth must be >= 1")
-    theta = GOLDEN_MEAN
-    cf = continued_fraction(theta, depth + 2)
-    with mpmath.workdps(CONVERSION_DPS):
-        ratio = mpmath.mpf(cf.q[depth + 1]) / cf.q[depth]
-        ratio_target = (1 + mpmath.sqrt(5)) / 2
-        gap = convergent_gap(theta, cf, depth)
-        scaled = cf.q[depth] * gap.to_mpf()
-        scaled_target = 1 / mpmath.sqrt(5)
-        return GoldenLimitsReport(
-            depth=depth,
-            ratio=float(ratio),
-            ratio_target=float(ratio_target),
-            ratio_error=float(ratio - ratio_target),
-            scaled_gap=float(scaled),
-            scaled_gap_target=float(scaled_target),
-            scaled_gap_error=float(scaled - scaled_target),
-        )
+    cf = continued_fraction(GOLDEN_MEAN, depth + 2)
+    ratio = Fraction(cf.q[depth + 1], cf.q[depth])
+    ratio_target = GOLDEN_MEAN + 1
+    scaled = cf.q[depth] * convergent_gap(GOLDEN_MEAN, cf, depth)
+    scaled_target = Quadratic(0, Fraction(1, 5), 5)
+    return GoldenLimitsReport(
+        depth=depth,
+        ratio=float(ratio),
+        ratio_target=float(ratio_target),
+        ratio_error=float(ratio - ratio_target),
+        scaled_gap=float(scaled),
+        scaled_gap_target=float(scaled_target),
+        scaled_gap_error=float(scaled - scaled_target),
+    )

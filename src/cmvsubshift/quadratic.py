@@ -11,21 +11,12 @@ gcd(A, B, C) = 1; a rational has B = 0 and d = 0.  The triple is canonical
 (sqrt(d) is irrational), so two values are equal exactly when their triples
 are.
 
-Decisions are filter-then-verify.  Each value carries a float approximation
-f and a rigorous bound err >= |f - value|, err = 8u (|A| + |B| sqrt(d)) / C
-with u = 2^-53: evaluating (A + B*sqrt(d)) / C in binary64 errs by at most
-about 6u (|A| + |B| sqrt(d)) / C, and the rest covers the rounding of the
-comparisons themselves.  Ordering, sign, floor and frac decide from the
-floats when |f1 - f2| > err1 + err2 (for sign and floor: when f lies more
-than err away from 0 or from an integer); only inside that band do they run
-the exact test, an integer sign of a + b*sqrt(d) (compare a^2 with b^2 d)
-or an integer square root.  Triples too large for binary64 (FILTER_BITS)
-carry no approximation and always take the exact test.
-
-``float(x)`` is the correctly rounded value, found with integer square roots
-(the bracket floor(|B| sqrt(d) 2^k) <= |B| sqrt(d) 2^k < that + 1 is narrowed
-until both ends round to the same float); ``to_mpf`` evaluates in mpmath at
-any working precision.
+There is one arithmetic, on integers.  Ordering and sign reduce to the sign
+of a + b*sqrt(d) for integers a, b, decided by comparing a^2 with b^2 d; floor
+takes one integer square root.  ``float(x)`` is the correctly rounded value,
+also from integer square roots (the bracket
+floor(|B| sqrt(d) 2^k) <= |B| sqrt(d) 2^k < that + 1 is narrowed until both
+ends round to the same float).
 
 Every circle coordinate is read as an exact number once, at the boundary,
 and all later arithmetic is this one: ``exact`` takes a Quadratic, an int, a
@@ -36,22 +27,10 @@ mpmath value (its exact binary value).
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
-import mpmath
-
 from .errors import RationalThetaError, ValidationError
-
-# Decimal digits of to_mpf's default.
-CONVERSION_DPS = 50
-
-# Triples with |A|, |B|, C below 2^FILTER_BITS (and a radicand below 2^53)
-# get a float filter: nothing overflows, and |A| + |B| sqrt(d) >= 1 keeps the
-# error bound a normal float.
-FILTER_BITS = 900
-_FILTER_LIMIT = 1 << FILTER_BITS
-_EXACT_FLOAT_LIMIT = 1 << 53  # a radicand below this converts to float exactly
-_EIGHT_U = 2.0**-50  # 8 * 2^-53
 
 
 def _as_fraction(x) -> Fraction:
@@ -92,20 +71,6 @@ def _raw(A: int, B: int, C: int, d: int) -> "Quadratic":
     """A Quadratic from a triple already in canonical form."""
     x = object.__new__(Quadratic)
     x.A, x.B, x.C, x.d = A, B, C, d
-    if not (-_FILTER_LIMIT < A < _FILTER_LIMIT and -_FILTER_LIMIT < B < _FILTER_LIMIT
-            and C < _FILTER_LIMIT and d < _EXACT_FLOAT_LIMIT):
-        x.approx = x._err = None
-        return x
-    fa = float(A)
-    fc = float(C)
-    if B:
-        root = math.sqrt(d)
-        fb = float(B)
-        x.approx = (fa + fb * root) / fc
-        x._err = _EIGHT_U * (abs(fa) + abs(fb) * root) / fc
-    else:
-        x.approx = fa / fc
-        x._err = _EIGHT_U * abs(fa) / fc
     return x
 
 
@@ -115,11 +80,10 @@ class Quadratic:
     Supports exact ring arithmetic, exact ordering, floor/mod-1, and correctly
     rounded float conversion.  Rationals have B == 0 and d == 0.  The
     constructor takes the rational coordinates: Quadratic(a, b, d) is
-    a + b*sqrt(d).  ``approx`` is a float within 8u (|A| + |B| sqrt(d)) / C
-    of the value, or None for a triple too large to filter.
+    a + b*sqrt(d).
     """
 
-    __slots__ = ("A", "B", "C", "d", "approx", "_err")
+    __slots__ = ("A", "B", "C", "d")
 
     def __init__(self, a, b=0, d=0):
         a = _as_fraction(a)
@@ -138,7 +102,6 @@ class Quadratic:
         C = a.denominator * b.denominator
         x = _make(a.numerator * b.denominator, b.numerator * a.denominator, C, d)
         self.A, self.B, self.C, self.d = x.A, x.B, x.C, x.d
-        self.approx, self._err = x.approx, x._err
 
     # -- helpers -----------------------------------------------------------
 
@@ -148,8 +111,7 @@ class Quadratic:
                 raise ValidationError("mixed radicands are not supported")
             return other
         if type(other) is int:
-            small = _SMALL_INTS.get(other)
-            return small if small is not None else _raw(other, 0, 1, 0)
+            return _raw(other, 0, 1, 0)
         x = _as_fraction(other)
         return _raw(x.numerator, 0, x.denominator, 0)
 
@@ -180,11 +142,7 @@ class Quadratic:
     __radd__ = __add__
 
     def __neg__(self):
-        x = object.__new__(Quadratic)
-        x.A, x.B, x.C, x.d = -self.A, -self.B, self.C, self.d
-        x.approx = None if self.approx is None else -self.approx
-        x._err = self._err
-        return x
+        return _raw(-self.A, -self.B, self.C, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -229,27 +187,13 @@ class Quadratic:
     # -- order -------------------------------------------------------------
 
     def _cmp(self, o: "Quadratic") -> int:
-        """Sign of self - o: float filter first, exact integers if undecided."""
-        f, g = self.approx, o.approx
-        if f is not None and g is not None:
-            diff = f - g
-            err = self._err + o._err
-            if diff > err:
-                return 1
-            if diff < -err:
-                return -1
+        """Sign of self - o."""
         return _exact_sign(
             self.A * o.C - o.A * self.C, self.B * o.C - o.B * self.C, self.d or o.d
         )
 
     def sign(self) -> int:
         """Exact sign of the value."""
-        f = self.approx
-        if f is not None:
-            if f > self._err:
-                return 1
-            if f < -self._err:
-                return -1
         return _exact_sign(self.A, self.B, self.d)
 
     def __eq__(self, other):
@@ -282,11 +226,6 @@ class Quadratic:
     # -- floor / mod 1 -----------------------------------------------------
 
     def __floor__(self) -> int:
-        f = self.approx
-        if f is not None:
-            k = math.floor(f)
-            if f - self._err >= k and f + self._err < k + 1:
-                return k
         if self.B == 0:
             return self.A // self.C
         # B sqrt(d) is irrational, so it lies strictly between m and m + 1,
@@ -306,23 +245,15 @@ class Quadratic:
 
     # -- conversion --------------------------------------------------------
 
-    def to_mpf(self, dps: int = CONVERSION_DPS) -> mpmath.mpf:
-        with mpmath.workdps(dps):
-            val = mpmath.mpf(self.A)
-            if self.B:
-                val += mpmath.mpf(self.B) * mpmath.sqrt(self.d)
-            return val / self.C
-
     def __float__(self) -> float:
         A, B, C = self.A, self.B, self.C
         if B == 0:
             return A / C  # int true division rounds correctly
         # A 2^k + B sqrt(d) 2^k lies strictly between lo and lo + 1; start k
-        # where that bracket is ~2^-80 of the value and double until it rounds
-        # to one float (it must: the value is irrational)
+        # where that bracket is ~2^-80 of the larger term and double until it
+        # rounds to one float (it must: the value is irrational)
         bb_d = B * B * self.d
-        f = self.approx
-        k = max(8, 82 - math.frexp(f)[1] - C.bit_length()) if f else 128
+        k = max(8, 82 - max(A.bit_length(), (bb_d.bit_length() + 1) // 2))
         while True:
             s = math.isqrt(bb_d << (2 * k))
             lo = (A << k) + s if B > 0 else (A << k) - s - 1
@@ -337,9 +268,6 @@ class Quadratic:
             return f"Quadratic({self.a})"
         return f"Quadratic({self.a} + {self.b}*sqrt({self.d}))"
 
-
-# Set algebra on the circle compares against 0 and the period 1 all the time.
-_SMALL_INTS = {k: _raw(k, 0, 1, 0) for k in range(-2, 3)}
 
 GOLDEN_MEAN = Quadratic(Fraction(-1, 2), Fraction(1, 2), 5)  # (sqrt(5) - 1) / 2
 SQRT2_MINUS_1 = Quadratic(-1, 1, 2)
@@ -357,7 +285,9 @@ def exact(x) -> Quadratic:
     string) raises ValidationError."""
     if isinstance(x, Quadratic):
         return x
-    if isinstance(x, mpmath.mpf) and mpmath.isfinite(x):
+    # an mpf exists only if mpmath is loaded; the library never loads it
+    mpmath = sys.modules.get("mpmath")
+    if mpmath is not None and isinstance(x, mpmath.mpf) and mpmath.isfinite(x):
         man, exp = x.man_exp  # |x| = man * 2^exp
         man = -man if x < 0 else man
         x = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)

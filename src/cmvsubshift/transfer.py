@@ -87,9 +87,6 @@ class VerblunskyMap:
             return self.alpha_b
         raise ValidationError(f"letter {letter!r} outside alphabet")
 
-    def rho(self, letter: str) -> float:
-        return rho_of(self.alpha(letter))
-
     @property
     def is_constant(self) -> bool:
         return self.alpha_a == self.alpha_b

@@ -165,22 +165,12 @@ class RotationCoding:
     """Letters read off an irrational rotation through a half-open arc.
 
     Position n maps to the circle point n*theta + beta (mod 1); the letter is
-    ``letter_in`` when the point lands in [lo, hi) (interpreted with
-    wraparound when lo > hi) and ``letter_out`` otherwise.  Every input is
-    read with ``exact``, so every membership test is exact.
+    'a' when the point lands in [lo, hi) (interpreted with wraparound when
+    lo > hi) and 'b' otherwise.  Every input is read with ``exact``, so every
+    membership test is exact.
     """
 
-    def __init__(
-        self,
-        theta,
-        beta,
-        lo,
-        hi,
-        letter_in: str = "a",
-        letter_out: str = "b",
-    ):
-        if letter_in not in ALPHABET or letter_out not in ALPHABET or letter_in == letter_out:
-            raise ValidationError("letter map must assign distinct alphabet letters")
+    def __init__(self, theta, beta, lo, hi):
         if isinstance(theta, Quadratic) and theta.is_rational:
             raise ValidationError("rotation number must be irrational")
         hi = exact(hi)
@@ -190,8 +180,6 @@ class RotationCoding:
         self.hi = hi if hi == 1 else hi.frac()
         if self.lo == self.hi:
             raise ValidationError("coding arc must have positive length")
-        self.letter_in = letter_in
-        self.letter_out = letter_out
 
     def position(self, n: int) -> Quadratic:
         """Circle point n*theta + beta reduced to [0, 1)."""
@@ -203,7 +191,7 @@ class RotationCoding:
         return x >= self.lo or x < self.hi
 
     def letter(self, n: int) -> str:
-        return self.letter_in if self.arc_contains(self.position(n)) else self.letter_out
+        return "a" if self.arc_contains(self.position(n)) else "b"
 
     def window(self, lo: int, hi: int) -> "Window":
         if hi < lo:

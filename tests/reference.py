@@ -6,11 +6,13 @@ single-site matrix is written out from the ``transfer.py`` docstring, with
 products, so tests can check the pair-form kernels against it.  The band
 scan's re-evaluates the whole grid at every doubling and finds each run's
 end by walking it.  The Floquet eigensolve's is ``numpy.linalg.eigvals``,
-compared as a multiset of angles.
+compared as a multiset of angles.  Exact quadratic values are evaluated in
+mpmath at a chosen number of digits.
 """
 
 import math
 
+import mpmath
 import numpy as np
 
 from cmvsubshift.arcs import ArcSet
@@ -98,3 +100,12 @@ def full_grid_band_arcs(disc_fn, resolution):
     left = _bisect_band_edges(inside, (starts - 1) * step, starts * step)
     right = _bisect_band_edges(inside, (ends + 1) * step, ends * step)
     return ArcSet([(lo, hi + tau if hi < lo else hi) for lo, hi in zip(left, right)], tau)
+
+
+def quadratic_mpf(x, dps):
+    """The Quadratic x = (A + B sqrt(d)) / C evaluated in mpmath at dps digits."""
+    with mpmath.workdps(dps):
+        value = mpmath.mpf(x.A)
+        if x.B:
+            value += mpmath.mpf(x.B) * mpmath.sqrt(x.d)
+        return value / x.C

@@ -250,6 +250,18 @@ def test_spectrum_count_joins_the_band_across_zero(capsys):
     assert doc["count"] == 8
 
 
+def test_gordon_count_joins_the_arc_across_zero(capsys):
+    code, out, _ = run_cli(
+        capsys, "gordon", "--theta", "sqrt2-1", "--n", "6", "--mode", "coding",
+        "--interval", "37/250", "31/125",
+    )
+    assert code == 0
+    arcs = json.loads(out)["arcs"]
+    pieces = arcs["arcs"]
+    assert pieces[0]["lo"] == 0.0 and pieces[-1]["hi"] == 1.0 and len(pieces) == 71
+    assert arcs["count"] == 70
+
+
 def test_floquet_check_report(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -319,3 +331,11 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["q"] == [0, 1, 1, 2, 3, 5]
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cmvsubshift.cli; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"

@@ -184,3 +184,26 @@ def test_golden_limits_deep_and_shallow():
     assert shallow.ratio == 1.0  # raw values, no convergence claim
     with pytest.raises(ValidationError):
         golden_limits(0)
+
+
+def test_golden_limits_match_a_400_digit_reference():
+    # q_d = F_d and p_d = F_{d-1} for the golden mean; at 400 digits the
+    # cancellation in F_d theta - F_{d-1} (about 2d/5 digits by depth 150)
+    # and the errors (down to about 1e-63) are resolved many times over
+    fib = [0, 1]
+    while len(fib) < 153:
+        fib.append(fib[-1] + fib[-2])
+    with mpmath.workdps(400):
+        theta = (mpmath.sqrt(5) - 1) / 2
+        ratio_target = (1 + mpmath.sqrt(5)) / 2
+        scaled_target = 1 / mpmath.sqrt(5)
+        for d in range(1, 151):
+            ratio = mpmath.mpf(fib[d + 1]) / fib[d]
+            scaled = fib[d] * abs(fib[d] * theta - fib[d - 1])
+            want = (ratio, ratio_target, ratio - ratio_target,
+                    scaled, scaled_target, scaled - scaled_target)
+            rep = golden_limits(d)
+            got = (rep.ratio, rep.ratio_target, rep.ratio_error,
+                   rep.scaled_gap, rep.scaled_gap_target, rep.scaled_gap_error)
+            assert rep.depth == d
+            assert got == tuple(float(x) for x in want), d

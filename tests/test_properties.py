@@ -28,7 +28,7 @@ from cmvsubshift.spectrum import (
 from cmvsubshift.tracemap import classify_orbit, trace_orbit
 from cmvsubshift.transfer import VerblunskyMap, unit_point
 from cmvsubshift.words import FIBONACCI, PERIOD_DOUBLING, THUE_MORSE, fixed_point_prefix, substitution_word
-from reference import angle_mismatch, full_grid_band_arcs, word_product
+from reference import angle_mismatch, full_grid_band_arcs, quadratic_mpf, word_product
 
 angles = st.floats(0.0, 2 * math.pi, allow_nan=False)
 
@@ -209,12 +209,15 @@ def test_thue_morse_level_12_blocks_stay_finite_and_accurate():
 # r = floor(sqrt(d)), whose continued fraction is [0; t, t, t, ...].  Near
 # ties and near-integers come from the convergents p_n/q_n of theta_d: adding
 # s*(q_n*theta_d - p_n) / c moves a value by about 1/q_{n+1}, far below what
-# the float approximations resolve.  The reference evaluates every recipe in
-# mpmath at 60 digits.
+# a float resolves.  A near cancellation is that residual alone: its triple
+# has A ~ -B*sqrt(d).  Half the recipes are small (below 1e21), half large:
+# their triples have 900 to 1,200 bits.  The reference evaluates every recipe
+# in mpmath at ``ref_dps`` digits.
 
 REF_DPS = 60
 FIELDS = {2: (1, 2), 5: (2, 4), 17: (4, 8)}  # d: (floor(sqrt(d)), partial quotient)
 QUADRATIC_PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
+BIG = (1 << 900, 1 << 1200)
 
 
 def convergent(d, n):
@@ -231,45 +234,65 @@ def build(d, m, k, c):
     return (m + k * theta) / c
 
 
-def reference(d, m, k, c):
-    with mpmath.workdps(REF_DPS):
+def ref_dps(*recipes):
+    """Digits that decide every sign, floor and float of ``recipes``.
+
+    With b the largest bit length in the recipes, a nonzero value or
+    difference of two values is at least about 2^(-4b) / 10 (theta_d is
+    badly approximable), and 60 + 2b digits put rounding and the cut-off of
+    ``ref_sign`` far below that.
+    """
+    bits = max(abs(x).bit_length() for recipe in recipes for x in recipe)
+    return REF_DPS + 2 * bits
+
+
+def reference(d, m, k, c, dps):
+    with mpmath.workdps(dps):
         return (m + k * (mpmath.sqrt(d) - FIELDS[d][0])) / c
 
 
-def ref_sign(value, *recipes):
-    """Sign of a 60-digit reference value built from ``recipes``.
-
-    Terms stay below 1e21 and nonzero values above 1e-25, so rounding (about
-    1e-60 of the terms) stays far below the 1e-50 cut-off and the cut-off far
-    below every nonzero value.
-    """
+def ref_sign(value, dps, *recipes):
+    """Sign of a reference value built from ``recipes`` at ``dps`` digits:
+    zero when it is within 10^(10 - dps) of the terms' size, far above their
+    rounding and far below every nonzero value."""
     scale = 1 + sum(abs(m) + abs(k) for m, k, _ in recipes)
-    if abs(value) <= mpmath.mpf(10) ** -50 * scale:
+    if abs(value) <= mpmath.mpf(10) ** (10 - dps) * scale:
         return 0
     return 1 if value > 0 else -1
 
 
-# deepest n with q_n < 1e20, so that 60 digits resolve every near tie
+# deepest n with q_n < 1e20, so that small recipes stay below 1e21; and the
+# depths with 900 to 990 bits, so that a near cancellation, about
+# 1 / (c q_{n+1}), stays a normal float
 MAX_DEPTH = {d: max(n for n in range(100) if convergent(d, n)[1] < 10**20) for d in FIELDS}
+BIG_DEPTHS = {
+    d: [n for n in range(2000) if 900 <= convergent(d, n)[1].bit_length() <= 990] for d in FIELDS
+}
 fields = st.sampled_from(sorted(FIELDS))
 signs = st.sampled_from([-1, 1])
 
 
-def depths(d):
-    return st.integers(1, MAX_DEPTH[d])
+def depths(d, big):
+    return st.sampled_from(BIG_DEPTHS[d]) if big else st.integers(1, MAX_DEPTH[d])
 
 
 @st.composite
 def recipes(draw, d):
-    """(m, k, c): generic, rational, or within ~1/q_{n+1} of an integer."""
-    kind = draw(st.sampled_from(["generic", "rational", "near-integer"]))
+    """(m, k, c): generic, rational, within ~1/q_{n+1} of an integer, or a
+    near cancellation; small or large."""
+    kind = draw(st.sampled_from(["generic", "rational", "near-integer", "near-cancellation"]))
+    big = draw(st.booleans())
+    if kind in ("generic", "rational"):
+        if big:
+            c = draw(st.integers(*BIG))
+            m, k = (draw(signs) * draw(st.integers(*BIG)) for _ in range(2))
+        else:
+            c = draw(st.integers(1, 1000))
+            m, k = (draw(st.integers(-10**6, 10**6)) for _ in range(2))
+        return (m, 0, c) if kind == "rational" else (m, k, c)
     c = draw(st.integers(1, 1000))
-    m = draw(st.integers(-10**6, 10**6))
-    if kind == "rational":
-        return m, 0, c
-    if kind == "generic":
-        return m, draw(st.integers(-10**6, 10**6)), c
-    p, q = convergent(d, draw(depths(d)))
+    m = draw(st.integers(-10**6, 10**6)) if kind == "near-integer" else 0
+    p, q = convergent(d, draw(depths(d, big)))
     s = draw(signs)
     return m * c - s * p, s * q, c
 
@@ -283,7 +306,7 @@ def pairs(draw):
     m, k, c = x
     kind = draw(st.sampled_from(["near-tie", "equal", "independent"]))
     if kind == "near-tie":
-        p, q = convergent(d, draw(depths(d)))
+        p, q = convergent(d, draw(depths(d, draw(st.booleans()))))
         s = draw(signs)
         y = (m - s * p, k + s * q, c)
     elif kind == "equal":
@@ -299,9 +322,10 @@ def pairs(draw):
 def test_quadratic_order_matches_mpmath(case):
     d, x_recipe, y_recipe = case
     x, y = build(d, *x_recipe), build(d, *y_recipe)
-    xr, yr = reference(d, *x_recipe), reference(d, *y_recipe)
-    with mpmath.workdps(REF_DPS):
-        want = ref_sign(xr - yr, x_recipe, y_recipe)
+    dps = ref_dps(x_recipe, y_recipe)
+    xr, yr = reference(d, *x_recipe, dps), reference(d, *y_recipe, dps)
+    with mpmath.workdps(dps):
+        want = ref_sign(xr - yr, dps, x_recipe, y_recipe)
     assert (x < y) == (want < 0)
     assert (x <= y) == (want <= 0)
     assert (x > y) == (want > 0)
@@ -315,16 +339,17 @@ def test_quadratic_order_matches_mpmath(case):
 def test_quadratic_sign_floor_frac_match_mpmath(d, data):
     recipe = data.draw(recipes(d))
     x = build(d, *recipe)
-    with mpmath.workdps(REF_DPS):
-        ref = reference(d, *recipe)
+    dps = ref_dps(recipe)
+    with mpmath.workdps(dps):
+        ref = reference(d, *recipe, dps)
         floor_ref = int(mpmath.floor(ref))
-        assert x.sign() == ref_sign(ref, recipe)
+        assert x.sign() == ref_sign(ref, dps, recipe)
         assert math.floor(x) == floor_ref
         fr = x.frac()
         assert Quadratic(0) <= fr < Quadratic(1)
         assert fr == x - floor_ref
         # float conversion is correctly rounded, as mpmath's rounding of the
-        # 60-digit value is
+        # reference value is
         assert float(x) == float(ref)
         assert float(fr) == float(ref - floor_ref)
 
@@ -379,7 +404,7 @@ def binary_values(draw):
 def test_exact_reads_binary_values_without_rounding(x):
     value = exact(x)
     assert value.is_rational
-    assert value.to_mpf(200) == x
+    assert quadratic_mpf(value, 200) == x
     if isinstance(x, float):
         assert float(value) == x
 

@@ -8,6 +8,7 @@ from cmvsubshift.transfer import (
     VerblunskyMap,
     gordon_inequality_check,
     propagate,
+    rho_of,
     theta_matrix,
     transfer_product,
     transfer_product_grid,
@@ -103,7 +104,7 @@ def test_theta_matrix_is_unitary_with_det_minus_one():
 def test_verblunsky_map():
     f = VerblunskyMap(0.5, -0.25j)
     assert f.alpha("a") == 0.5 and f.alpha("b") == -0.25j
-    assert abs(f.rho("a") - np.sqrt(0.75)) < 1e-15
+    assert abs(rho_of(f.alpha("a")) - np.sqrt(0.75)) < 1e-15
     assert not f.is_constant and VerblunskyMap(0.1, 0.1).is_constant
     win = f.coefficients("aba")
     assert win.lo == 1 and win[2] == -0.25j

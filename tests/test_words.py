@@ -27,6 +27,7 @@ from cmvsubshift.words import (
     sturmian_coding,
     substitution_word,
 )
+from reference import quadratic_mpf
 
 
 def test_word_positions_are_one_based():
@@ -137,7 +138,7 @@ def test_decimal_sturmian_coding_resolves_its_endpoint(quadratic):
     # a 50-digit mpmath theta is read as its exact binary value, so the arc
     # [1 - theta, 1) is exact: a phase on its left endpoint reads inside and
     # one 1e-40 below reads outside
-    theta = quadratic.to_mpf()
+    theta = quadratic_mpf(quadratic, 50)
     with mpmath.workdps(50):
         on_edge = 1 - theta
         below = on_edge - mpmath.mpf(10) ** -40

@@ -65,6 +65,8 @@ CONFIGS = [
                                "--range=-20..40"]),
     ("gordon-decimal-coding", ["gordon", "--theta", GOLDEN_55, "--n", "13", "--mode", "coding",
                                "--interval", "143/1000", "556/1000"]),
+    ("gordon-coding-wrap", ["gordon", "--theta", "sqrt2-1", "--n", "6", "--mode", "coding",
+                            "--interval", "37/250", "31/125"]),
 ]
 
 
