@@ -4,15 +4,18 @@ Band spectra live on the unit circle (period 2*pi, float endpoints) and
 Gordon phase sets live on the torus R/Z (period 1, exact Fraction/Quadratic
 endpoints).  One container serves both: endpoints may be any totally ordered
 numeric type closed under subtraction, and all set algebra (merge, complement,
-intersection, measure) stays in that type.  Construction sorts and merges
-once (exact endpoints: a sort by their floats, then one exact insertion
-pass); complement and intersection then work on the sorted disjoint arcs
-directly (one pass, no re-sorting), so exact endpoints are never reduced or
-compared more than once.  The measure is summed once per set.  Floats
-appear only when a caller asks for them (JSON export, sampling, vectorized
-membership), and each endpoint is converted to a float once per set.  An
-arc across 0 is stored as two pieces, [0, hi) and [lo, period); ``count``
-is the number of pieces, the JSON "count" the number of arcs on the circle.
+intersection, measure) stays in that type.  Construction from sweeps sorts
+(a plain sort, exact comparisons for exact endpoints) and merges once;
+complement and intersection then work on the sorted disjoint arcs directly
+(one pass, no re-sorting).  A builder that already has the arcs in normal
+form, as ``gordon`` has them in rotation order, wraps them without any
+comparison (``_from_normal_form``), with its measure if it knows it; a
+complement carries the known measure over.  Otherwise the measure is summed
+once per set.  Floats appear only when a caller asks for them (JSON export,
+sampling, vectorized membership), and each endpoint is converted to a float
+once per set.  An arc across 0 is stored as two pieces, [0, hi) and
+[lo, period); ``count`` is the number of pieces, the JSON "count" the
+number of arcs on the circle.
 """
 
 from __future__ import annotations
@@ -41,33 +44,6 @@ def _reduce(x, period):
 
 def _lo(arc):
     return arc[0]
-
-
-def _float_lo(arc):
-    return float(arc[0])
-
-
-def _sort_by_lo(pieces: List[Tuple]) -> None:
-    """Sort arcs by their lower endpoint, in place.
-
-    Exact Quadratic endpoints are sorted by their floats first, then by one
-    insertion pass with exact comparisons, which puts right the few
-    neighbours whose floats tie.  The insertion pass alone gives the exact
-    order; the float sort only makes it take about n comparisons instead of
-    n log n.
-    """
-    if not (pieces and isinstance(pieces[0][0], Quadratic)):
-        pieces.sort(key=_lo)
-        return
-    pieces.sort(key=_float_lo)
-    for i in range(1, len(pieces)):
-        item = pieces[i]
-        lo = item[0]
-        j = i
-        while j and lo < pieces[j - 1][0]:
-            pieces[j] = pieces[j - 1]
-            j -= 1
-        pieces[j] = item
 
 
 class ArcSet:
@@ -106,7 +82,7 @@ class ArcSet:
         if full:
             merged.append((0 * period if not isinstance(period, int) else 0, period))
         else:
-            _sort_by_lo(pieces)
+            pieces.sort(key=_lo)
             for lo, hi in pieces:
                 if merged and lo <= merged[-1][1]:
                     if hi > merged[-1][1]:
@@ -118,20 +94,24 @@ class ArcSet:
         self._floats = self._measure = None
 
     @classmethod
-    def _from_normal_form(cls, arcs: List[Tuple], period) -> "ArcSet":
+    def _from_normal_form(cls, arcs: List[Tuple], period, measure=None) -> "ArcSet":
         """Wrap arcs that are already sorted, disjoint, non-touching and in
-        [0, period]: the normal form __init__ produces."""
+        [0, period]: the normal form __init__ produces.  ``measure``, when
+        given, is their total length."""
         out = object.__new__(cls)
         out.period = period
         out.arcs = arcs
-        out._floats = out._measure = None
+        out._floats = None
+        out._measure = measure
         return out
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def full(period=1) -> "ArcSet":
-        return ArcSet([(0, period)], period)
+        if not period > 0:
+            raise ValidationError("period must be positive")
+        return ArcSet._from_normal_form([(0 * period, period)], period, period)
 
     @staticmethod
     def empty(period=1) -> "ArcSet":
@@ -204,14 +184,15 @@ class ArcSet:
             return ArcSet.full(self.period)
         if self.is_full:
             return ArcSet.empty(self.period)
-        arcs = self.arcs
-        gaps = [(arcs[k][1], arcs[k + 1][0]) for k in range(len(arcs) - 1)]
-        first_lo, last_hi = arcs[0][0], arcs[-1][1]
+        los, his = zip(*self.arcs)
+        gaps = list(zip(his[:-1], los[1:]))
+        first_lo, last_hi = los[0], his[-1]
         if first_lo > 0:
             gaps.insert(0, (0 * first_lo, first_lo))
         if last_hi < self.period:
             gaps.append((last_hi, self.period))
-        return ArcSet._from_normal_form(gaps, self.period)
+        measure = None if self._measure is None else self.period - self._measure
+        return ArcSet._from_normal_form(gaps, self.period, measure)
 
     def intersect(self, other: "ArcSet") -> "ArcSet":
         """Two-pointer sweep over both sorted arc lists."""

@@ -194,8 +194,46 @@ def _named_rule(name: str):
     return NAMED_RULES[name]
 
 
+def _json_value(value, pad: str) -> str:
+    """``value`` as json.dumps(indent=2, sort_keys=True) writes it at
+    indentation ``pad``.  Dicts with string keys are walked here, so that
+    every "arcs" list of {"lo", "hi"} floats is rendered directly; any other
+    value is left to json.dumps."""
+    inner = pad + "  "
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        items = []
+        for key in sorted(value):
+            item = value[key]
+            text = _arc_list_text(item, inner) if key == "arcs" else None
+            items.append(f"{inner}{json.dumps(key)}: {text or _json_value(item, inner)}")
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if value is None or isinstance(value, (str, int, float)):
+        return json.dumps(value)  # a scalar: indentation and key order do not apply
+    # nested levels of json's own output shift by the outer indentation
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
+def _arc_list_text(arcs, pad: str) -> Optional[str]:
+    """A non-empty list of {"lo", "hi"} dicts of finite floats as json.dumps
+    writes it at indentation ``pad``; None for anything else."""
+    if type(arcs) is not list or not arcs or {type(arc) for arc in arcs} != {dict}:
+        return None
+    if any(len(arc) != 2 or "lo" not in arc or "hi" not in arc for arc in arcs):
+        return None
+    ends = [x for arc in arcs for x in (arc["hi"], arc["lo"])]
+    if {type(x) for x in ends} != {float} or not np.isfinite(ends).all():
+        return None  # json.dumps spells nan and inf, and float subclasses, its own way
+    inner = pad + "  "
+    item = inner + "{\n" + inner + '  "hi": %r,\n' + inner + '  "lo": %r\n' + inner + "}"
+    body = ",\n".join([item] * len(arcs)) % tuple(ends)
+    return "[\n" + body + "\n" + pad + "]"
+
+
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(payload, indent=2, sort_keys=True) + newline,
+    with the arc lists (the bulk of a band or Gordon payload) written
+    directly instead of through json's pure-Python indenting encoder."""
+    return _json_value(payload, "") + "\n"
 
 
 def _emit(text: str, path: Optional[str]) -> None:

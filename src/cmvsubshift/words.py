@@ -161,6 +161,18 @@ def fixed_point_prefix(
 # ---------------------------------------------------------------------------
 
 
+def coding_arc(lo, hi) -> tuple:
+    """The coding arc [lo, hi) on the circle, as exact (lo, hi) reduced to
+    [0, 1), except that hi = 1 stays 1, so [0, 1) is the whole circle.  An
+    arc whose ends coincide mod 1 has zero length and is rejected."""
+    hi = exact(hi)
+    lo = exact(lo).frac()
+    hi = hi if hi == 1 else hi.frac()
+    if lo == hi:
+        raise ValidationError("coding arc must have positive length")
+    return lo, hi
+
+
 class RotationCoding:
     """Letters read off an irrational rotation through a half-open arc.
 
@@ -173,13 +185,9 @@ class RotationCoding:
     def __init__(self, theta, beta, lo, hi):
         if isinstance(theta, Quadratic) and theta.is_rational:
             raise ValidationError("rotation number must be irrational")
-        hi = exact(hi)
         self.theta = exact(theta).frac()
         self.beta = exact(beta).frac()
-        self.lo = exact(lo).frac()
-        self.hi = hi if hi == 1 else hi.frac()
-        if self.lo == self.hi:
-            raise ValidationError("coding arc must have positive length")
+        self.lo, self.hi = coding_arc(lo, hi)
 
     def position(self, n: int) -> Quadratic:
         """Circle point n*theta + beta reduced to [0, 1)."""

@@ -7,7 +7,9 @@ products, so tests can check the pair-form kernels against it.  The band
 scan's re-evaluates the whole grid at every doubling and finds each run's
 end by walking it.  The Floquet eigensolve's is ``numpy.linalg.eigvals``,
 compared as a multiset of angles.  Exact quadratic values are evaluated in
-mpmath at a chosen number of digits.
+mpmath at a chosen number of digits.  The Gordon sets' is the generic
+route: one exact sweep per bad-arc centre, normalized by ``ArcSet`` (an
+exact sort and merge) and complemented.
 """
 
 import math
@@ -16,6 +18,8 @@ import mpmath
 import numpy as np
 
 from cmvsubshift.arcs import ArcSet
+from cmvsubshift.gordon import convergent_gap
+from cmvsubshift.quadratic import exact
 from cmvsubshift.spectrum import MAX_RESOLUTION, _bisect_band_edges
 
 
@@ -109,3 +113,36 @@ def quadratic_mpf(x, dps):
         if x.B:
             value += mpmath.mpf(x.B) * mpmath.sqrt(x.d)
         return value / x.C
+
+
+def orbit_sweeps(theta, start, count, r):
+    """Sweeps of radius r around the centres start - j*theta, 1 <= j <= count."""
+    sweeps = []
+    center = exact(start)
+    for _ in range(count):
+        center = center - theta
+        sweeps.append((center - r, center + r))
+    return sweeps
+
+
+def sweep_bad_arcs(theta, endpoints, cf, n):
+    """Bad arcs around e - j*theta, 1 <= j <= q_n, for each endpoint e."""
+    theta = exact(theta)
+    r = convergent_gap(theta, cf, n)
+    sweeps = []
+    for e in endpoints:
+        sweeps += orbit_sweeps(theta, e, cf.q[n], r)
+    return ArcSet(sweeps, period=1)
+
+
+def sweep_good_arcs(theta, cf, n, mode, interval=None):
+    """The admissible phases: the complement of the bad arcs around the one
+    Sturmian orbit {-j*theta : 1 <= j <= q_n + 1}, or around both orbits of
+    a coding arc's endpoints."""
+    theta = exact(theta)
+    if mode == "sturmian":
+        r = convergent_gap(theta, cf, n)
+        bad = ArcSet(orbit_sweeps(theta, 0, cf.q[n] + 1, r), period=1)
+    else:
+        bad = sweep_bad_arcs(theta, interval, cf, n)
+    return bad.complement()

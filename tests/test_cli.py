@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from cmvsubshift import cli
-from cmvsubshift.gordon import gordon_set
+from cmvsubshift.arcs import ArcSet
+from cmvsubshift.gordon import gordon_set, monte_carlo_measure
 from cmvsubshift.quadratic import GOLDEN_MEAN
 from cmvsubshift.spectrum import build_floquet, periodic_approximant
 from cmvsubshift.tracemap import trace_a_grid
@@ -260,6 +261,44 @@ def test_gordon_count_joins_the_arc_across_zero(capsys):
     pieces = arcs["arcs"]
     assert pieces[0]["lo"] == 0.0 and pieces[-1]["hi"] == 1.0 and len(pieces) == 71
     assert arcs["count"] == 70
+
+
+@pytest.mark.parametrize(
+    "interval", [("0.3", "0.3"), ("0.3", "1.3")], ids=["equal", "equal-mod-1"]
+)
+def test_gordon_coding_arc_of_zero_length_is_usage_error(capsys, interval):
+    code, out, err = run_cli(
+        capsys, "gordon", "--theta", "golden", "--n", "9", "--mode", "coding", "--interval", *interval
+    )
+    assert code == 2 and out == ""
+    assert "positive length" in err
+
+
+def _gordon_payload():
+    report = gordon_set(GOLDEN_MEAN, 12)
+    payload = {"schema": "v1", "theta": "golden", **report.as_dict()}
+    payload["monte_carlo"] = monte_carlo_measure(report.arcs, 5000, np.random.default_rng(3))
+    return payload
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"schema": "v1", **ArcSet.empty(2 * math.pi).as_dict()},
+        {"schema": "v1", **ArcSet.full(2 * math.pi).as_dict()},
+        {"schema": "v1", "resolution": 64, **ArcSet([(6.0, 7.0), (1.0, 2.5)], 2 * math.pi).as_dict()},
+        {
+            "nested": {"arcs": ArcSet([(0.75, 1.25)], 1).as_dict(), "rows": [[1, 2], {"b": None}]},
+            "pair": (1.5, "x"),
+            "flags": {"on": True, "off": False, "none": None, "text": "é"},
+        },
+        {"arcs": [{"lo": float("nan"), "hi": 1.0}], "other": {"arcs": [{"lo": 0.5}]}},
+        _gordon_payload(),
+    ],
+    ids=["empty", "full", "across-0", "nested", "not-plain-arcs", "gordon-mc"],
+)
+def test_json_text_matches_json_dumps(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_floquet_check_report(capsys):

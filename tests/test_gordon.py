@@ -9,6 +9,7 @@ import pytest
 
 from cmvsubshift.errors import ValidationError
 from cmvsubshift.gordon import (
+    _orbit_segments,
     bad_arcs,
     convergent_gap,
     golden_limits,
@@ -16,8 +17,10 @@ from cmvsubshift.gordon import (
     monte_carlo_measure,
     verify_membership,
 )
+from cmvsubshift.errors import RationalThetaError
 from cmvsubshift.quadratic import GOLDEN_MEAN, SQRT2_MINUS_1, Quadratic, parse_theta
 from cmvsubshift.words import continued_fraction
+from reference import sweep_bad_arcs, sweep_good_arcs
 
 # theta with partial quotients all 8 -- fast denominator growth makes the
 # generic rotation-coding bound nonvacuous
@@ -84,7 +87,7 @@ def three_gap_measure(theta, n):
 
 @pytest.mark.parametrize(
     "theta, n",
-    [pytest.param(GOLDEN_MEAN, n, id=f"golden-{n}") for n in (6, 9, 12, 15, 20)]
+    [pytest.param(GOLDEN_MEAN, n, id=f"golden-{n}") for n in (6, 9, 12, 15, 20, 24)]
     + [pytest.param(SQRT2_MINUS_1, n, id=f"sqrt2-1-{n}") for n in (4, 7, 8)]
     + [pytest.param(FAST_THETA, n, id=f"fast-{n}") for n in (3, 4)],
 )
@@ -207,3 +210,167 @@ def test_golden_limits_match_a_400_digit_reference():
                    rep.scaled_gap, rep.scaled_gap_target, rep.scaled_gap_error)
             assert rep.depth == d
             assert got == tuple(float(x) for x in want), d
+
+
+# -- the rotation-order construction against the generic sweep route -------
+
+
+def assert_matches_sweeps(theta, n, mode, interval=None):
+    """gordon_set gives the sweep route's arcs and measure, exactly."""
+    cf = continued_fraction(theta, n + 2)
+    want = sweep_good_arcs(theta, cf, n, mode, interval)
+    got = gordon_set(theta, n, mode, interval).arcs
+    assert got.arcs == want.arcs
+    assert got.measure == want.measure
+    return got
+
+
+@pytest.mark.parametrize(
+    "theta, top",
+    [pytest.param(GOLDEN_MEAN, 16, id="golden"), pytest.param(SQRT2_MINUS_1, 10, id="sqrt2-1")],
+)
+@pytest.mark.filterwarnings("ignore:q_.* is odd")
+def test_sturmian_sets_match_sweeps(theta, top):
+    # every index up to q = 987 (golden) and q = 2,378 (sqrt2-1)
+    for n in range(1, top + 1):
+        assert_matches_sweeps(theta, n, "sturmian")
+
+
+@pytest.mark.filterwarnings("ignore:q_.* is odd")
+def test_decimal_theta_sets_match_sweeps():
+    # seeded decimals of 20-60 digits, Sturmian and coding mode, every index
+    # with q <= 600
+    rng = np.random.default_rng(12)
+    checked = 0
+    for _ in range(8):
+        digits = int(rng.integers(20, 61))
+        theta = Fraction(int(rng.integers(1, 10**9)) * 10 ** (digits - 9) + int(rng.integers(10**9)), 10**digits)
+        try:
+            cf = continued_fraction(theta, 14)
+        except RationalThetaError:
+            continue
+        for n in range(1, 12):
+            if cf.q[n] > 600:
+                break
+            assert_matches_sweeps(theta, n, "sturmian")
+            lo, hi = (Fraction(int(x), 1000) for x in rng.integers(0, 1000, 2))
+            if lo != hi:
+                assert_matches_sweeps(theta, n, "coding", (lo, hi))
+            checked += 1
+    assert checked >= 40
+
+
+@pytest.mark.filterwarnings("ignore:q_.* is odd")
+def test_coding_sets_match_sweeps_across_zero():
+    # intervals with lo > hi, and good arcs on either side of 0 or across it
+    rng = np.random.default_rng(7)
+    seen = set()
+    for _ in range(60):
+        lo, hi = (Fraction(int(x), 1000) for x in rng.integers(0, 1000, 2))
+        if lo == hi:
+            continue
+        for theta, n in ((GOLDEN_MEAN, 8), (SQRT2_MINUS_1, 5), (FAST_THETA, 3)):
+            arcs = assert_matches_sweeps(theta, n, "coding", (lo, hi)).arcs
+            seen.add(("lo > hi", lo > hi))
+            if not arcs:
+                continue
+            seen.add(("starts at 0", arcs[0][0] == 0))
+            seen.add(("ends at 1", arcs[-1][1] == 1))
+    assert seen == {(kind, flag) for kind in ("lo > hi", "starts at 0", "ends at 1") for flag in (True, False)}
+
+
+@pytest.mark.parametrize(
+    "theta, n",
+    [pytest.param(GOLDEN_MEAN, n, id=f"golden-{n}") for n in (1, 2, 5, 9, 12)]
+    + [pytest.param(SQRT2_MINUS_1, n, id=f"sqrt2-1-{n}") for n in (1, 4, 7)]
+    + [pytest.param(Fraction(6180339887, 10**10), n, id=f"decimal-{n}") for n in (3, 8)],
+)
+def test_bad_arcs_merge_shared_and_coincident_centres(theta, n):
+    cf = continued_fraction(theta, n + 2)
+    theta_q = Quadratic(theta) if isinstance(theta, Fraction) else theta
+    cases = [
+        (1 - theta_q, 0),  # the Sturmian endpoints: q - 1 centres coincide
+        (0, 1 - theta_q),
+        (0, -5 * theta_q),  # q - 5 coincide, merged from two orbits
+        (Fraction(1, 3), Fraction(1, 3) - 2 * theta_q, Fraction(1, 3) - theta_q),
+        (0, 1),  # equal mod 1: one orbit
+    ]
+    for endpoints in cases:
+        want = sweep_bad_arcs(theta, endpoints, cf, n)
+        got = bad_arcs(theta, endpoints, n, cf=cf)
+        assert got.arcs == want.arcs, endpoints
+        assert got.measure == want.measure
+
+
+def test_coding_arc_of_zero_length_is_rejected():
+    for interval in ((Fraction(3, 10), Fraction(3, 10)), (Fraction(3, 10), Fraction(13, 10))):
+        with pytest.raises(ValidationError, match="positive length"):
+            gordon_set(GOLDEN_MEAN, 9, mode="coding", interval=interval)
+    # [0, 1) is the whole circle, as for the coding itself
+    assert gordon_set(GOLDEN_MEAN, 9, mode="coding", interval=(0, 1)).arcs.count > 0
+
+
+def continued_fraction_value(terms):
+    """[0; a_1, a_2, ...] as an exact Fraction."""
+    x = Fraction(0)
+    for a in reversed(terms):
+        x = 1 / (a + x)
+    return x
+
+
+@pytest.mark.parametrize(
+    "theta, top",
+    [(GOLDEN_MEAN, 10), (SQRT2_MINUS_1, 8), (FAST_THETA, 4)],
+    ids=["golden", "sqrt2-1", "fast"],
+)
+def test_bad_arcs_at_exact_ties(theta, top):
+    tiny = Fraction(1, 10**30)
+    for n in range(2, top + 1):
+        cf = continued_fraction(theta, n + 2)
+        r = convergent_gap(theta, cf, n)
+        cases = [
+            (0, 2 * r),  # a gap of exactly 2r: the two bad arcs touch
+            (Fraction(1, 2), 2 * r - tiny),
+            (3 * theta, Fraction(1, 2)),  # a center at 0 exactly
+            (3 * theta + tiny, Fraction(1, 2)),  # and within a float of it
+            (3 * theta - tiny, Fraction(1, 2)),
+            (theta - r,),  # a bad arc ending at 1 exactly
+            (theta + r,),  # and one starting at 0
+            (theta + r, Fraction(7, 10)),
+        ]
+        for endpoints in cases:
+            want = sweep_bad_arcs(theta, endpoints, cf, n)
+            got = bad_arcs(theta, endpoints, n, cf=cf)
+            assert got.arcs == want.arcs, (n, endpoints)
+            assert got.measure == want.measure
+            assert got.complement().arcs == want.complement().arcs
+
+
+@pytest.mark.filterwarnings("ignore:q_.* is odd")
+def test_sets_match_sweeps_below_float_resolution():
+    # a huge partial quotient a_{n+1} makes r = |q_n theta - p_n| < 1/q_{n+1}
+    # far smaller than a float key's error: the Sturmian centers i = 0 and
+    # i = q_n are too close for their keys to order, and so is a center
+    # within 10r of 0 for its float to give its floor
+    for terms in ([40, 2, 10**17, 3, 3, 3], [1, 1, 2, 10**15, 3, 3], [2, 2, 2, 2, 2, 10**15, 3, 3]):
+        theta = continued_fraction_value(terms)
+        cf = continued_fraction(theta, len(terms))
+        for n in range(1, len(terms) - 1):
+            if cf.q[n] > 1000:
+                break
+            assert_matches_sweeps(theta, n, "sturmian")
+            assert_matches_sweeps(theta, n, "coding", (Fraction(0), Fraction(1, 2)))
+            r = convergent_gap(theta, cf, n)
+            for endpoints in ((1 - theta, 0, Fraction(1, 3)), (theta - 10 * r,), (theta + 10 * r,)):
+                want = sweep_bad_arcs(theta, endpoints, cf, n)
+                got = bad_arcs(theta, endpoints, n, cf=cf)
+                assert got.arcs == want.arcs, (terms, n, endpoints)
+                assert got.measure == want.measure
+
+
+def test_sturmian_endpoints_make_one_orbit_segment():
+    q = 34
+    start = (1 - GOLDEN_MEAN).frac()  # -theta mod 1
+    for endpoints in ((1 - GOLDEN_MEAN, 0), (0, 1 - GOLDEN_MEAN), (1 - GOLDEN_MEAN, 0, 1)):
+        assert _orbit_segments(GOLDEN_MEAN, endpoints, q) == [(start, q + 1)]
+    assert len(_orbit_segments(GOLDEN_MEAN, (0, Fraction(1, 2)), q)) == 2

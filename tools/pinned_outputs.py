@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 tools/pinned_outputs.py [--dump DIR] [NAME ...]
+    PYTHONPATH=src python3 tools/pinned_outputs.py [--check] [--dump DIR] [NAME ...]
 
 Each config runs in-process through ``cmvsubshift.cli.main``.  The hash
 covers the exit code, stdout, stderr and the ``--curve`` file when the
@@ -13,6 +13,12 @@ different directories, and edits that only move the warning's call site,
 compare equal.  ``--dump DIR`` also writes every output to
 ``DIR/NAME.out`` (and ``DIR/NAME.csv`` for curves) for a closer diff.
 Names given on the command line restrict the run to those configs.
+``--check`` also compares every line with the committed list in
+``tools/pinned_outputs.txt``, reports each config whose hash differs (or
+that either side lacks) on stderr, and exits 1 if there is one.  To pin a
+deliberate change of output, write the new list over that file:
+
+    PYTHONPATH=src python3 tools/pinned_outputs.py > tools/pinned_outputs.txt
 """
 
 from __future__ import annotations
@@ -67,7 +73,12 @@ CONFIGS = [
                                "--interval", "143/1000", "556/1000"]),
     ("gordon-coding-wrap", ["gordon", "--theta", "sqrt2-1", "--n", "6", "--mode", "coding",
                             "--interval", "37/250", "31/125"]),
+    ("gordon-golden-24", ["gordon", "--theta", "golden", "--n", "24"]),
+    ("gordon-decimal-golden-24", ["gordon", "--theta", GOLDEN_55, "--n", "24"]),
+    ("gordon-coding-golden-20", ["gordon", "--theta", "golden", "--n", "20", "--mode", "coding",
+                                 "--interval", "0.8372", "0.2291"]),
 ]
+PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pinned_outputs.txt")
 
 
 def run_config(cli, argv, workdir):
@@ -94,6 +105,8 @@ def run_config(cli, argv, workdir):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with tools/pinned_outputs.txt; exit 1 on any difference")
     parser.add_argument("--dump", help="also write each output under this directory")
     parser.add_argument("names", nargs="*", help="run only these configs")
     args = parser.parse_args(argv)
@@ -105,6 +118,7 @@ def main(argv=None) -> int:
         parser.error(f"unknown configs: {sorted(unknown)}")
     if args.dump:
         os.makedirs(args.dump, exist_ok=True)
+    hashes = {}
     with tempfile.TemporaryDirectory() as workdir:
         for name, config in CONFIGS:
             if args.names and name not in args.names:
@@ -112,6 +126,7 @@ def main(argv=None) -> int:
             code, out, err, curve = run_config(cli, config, workdir)
             blob = f"exit {code}\n--stdout\n{out}--stderr\n{err}--curve\n{curve}"
             digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            hashes[name] = digest
             print(f"{digest}  {name}", flush=True)
             if args.dump:
                 with open(os.path.join(args.dump, name + ".out"), "w", encoding="utf-8") as fh:
@@ -119,7 +134,19 @@ def main(argv=None) -> int:
                 if curve:
                     with open(os.path.join(args.dump, name + ".csv"), "w", encoding="utf-8") as fh:
                         fh.write(curve)
-    return 0
+    return check(hashes, args.names) if args.check else 0
+
+
+def check(hashes: dict, names: list) -> int:
+    """Report each config whose hash is not the pinned one; 1 if any."""
+    with open(PINNED, encoding="utf-8") as fh:
+        pinned = dict(reversed(line.split()) for line in fh if line.strip())
+    wanted = names or sorted(set(pinned) | set(hashes))
+    bad = [name for name in wanted if pinned.get(name) != hashes.get(name)]
+    for name in bad:
+        print(f"differs: {name} (pinned {pinned.get(name)}, now {hashes.get(name)})", file=sys.stderr)
+    print(f"{len(wanted) - len(bad)} of {len(wanted)} configs match the pinned hashes", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
