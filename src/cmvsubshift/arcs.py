@@ -8,7 +8,7 @@ intersection, measure) stays in that type.  Construction from sweeps sorts
 (a plain sort, exact comparisons for exact endpoints) and merges once;
 complement and intersection then work on the sorted disjoint arcs directly
 (one pass, no re-sorting).  A builder that already has the arcs in normal
-form, as ``gordon`` has them in rotation order, wraps them without any
+form, as ``gordon`` has them in circle order, wraps them without any
 comparison (``_from_normal_form``), with its measure if it knows it; a
 complement carries the known measure over.  Otherwise the measure is summed
 once per set.  Floats appear only when a caller asks for them (JSON export,

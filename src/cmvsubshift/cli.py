@@ -98,19 +98,27 @@ class RunConfig:
 
 _FIELD_NAMES = {f.name for f in fields(RunConfig)} - {"command"}
 
+# the JSON type a config-file value must have, for each int, str or bool field
+_FILE_TYPES = {
+    f.name: kind
+    for f in fields(RunConfig)
+    for kind in (bool, int, str)
+    if f.type in (kind, Optional[kind])
+}
+
 
 def _coerce_complex(value) -> complex:
     """Accept 0.5, "0.3+0.1j", or a [re, im] pair from a config file."""
     if isinstance(value, (list, tuple)):
-        if len(value) != 2:
+        if len(value) != 2 or not all(type(x) in (int, float) for x in value):
             raise ValidationError(f"complex values as pairs need exactly [re, im], got {value!r}")
-        return complex(float(value[0]), float(value[1]))
+        return complex(*value)
     if isinstance(value, str):
         try:
             return complex(value.replace(" ", ""))
         except ValueError as exc:
             raise ValidationError(f"cannot parse {value!r} as a complex number") from exc
-    if isinstance(value, (int, float, complex)):
+    if type(value) in (int, float, complex):
         return complex(value)
     raise ValidationError(f"cannot parse {value!r} as a complex number")
 
@@ -128,6 +136,10 @@ def _load_config_file(path: str) -> dict:
         name = key.replace("-", "_")
         if name not in _FIELD_NAMES:
             raise ValidationError(f"unknown config key {key!r}")
+        kind = _FILE_TYPES.get(name)
+        if kind is not None and type(value) is not kind:
+            spelled = {bool: "true or false", int: "an integer", str: "a string"}[kind]
+            raise ValidationError(f"config key {key!r} needs {spelled}, got {value!r}")
         out[name] = value
     return out
 
@@ -147,7 +159,7 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
             merged[key] = _coerce_complex(merged[key])
     if merged.get("interval") is not None:
         pair = merged["interval"]
-        if len(pair) != 2:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValidationError("interval needs exactly two endpoints")
         merged["interval"] = tuple(str(x) for x in pair)
     cfg = RunConfig(command=args.command, **merged)
@@ -461,6 +473,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except ResourceCapError as exc:
         print(f"resource cap hit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_RESOURCE
     return EXIT_OK
 

@@ -20,21 +20,15 @@ depths: theta and the arc endpoints are read once with ``quadratic.exact``
 (a quadratic irrational stays one, a decimal is the rational it spells, a
 binary float of any precision is its exact binary value).
 
-The arcs are built in rotation order, on integer arrays.  Over a common
+The arcs are built in circle order, on integer arrays.  Over a common
 denominator D, the center s - i*theta - f (f its floor) is
-(a + b*sqrt(d))/D with integers a and b affine in i and f.  For
-0 <= i <= q_n every point -i*theta lies within i*|q_n theta - p_n|/q_n
-< 1/q_n of -i*p_n/q_n, all displaced to the same side, so one orbit segment
-of up to q_n + 1 centers is in the cyclic order of the residues
--i*p_n mod q_n (the three-distance setting; Sos 1958), i = q_n next to
-i = 0; the floors say where the order is cut at 0.  A floor comes from a
-float and is checked exactly where the float lies within its error bound of
-an integer.  Separate orbits (two endpoints of a coding arc) are merged
-once by float keys; neighbours whose keys are too close to trust are
-ordered exactly, and coincident centers merge through their gap of 0.  A
-gap between neighbours is then fixed by an integer class (the two segments
-and the differences of i and of f), so each class is compared with 2r
-exactly once, and the measure is a sum over classes.  The good arcs [c_k + r, c_{k+1} - r) are
+(a + b*sqrt(d))/D with integers a and b affine in i and f.  The centers of
+every orbit segment are sorted together by float keys, and neighbours whose
+keys are too close to trust are sorted again exactly (``_centers``);
+coincident centers merge through their gap of 0.  A gap between neighbours
+is then fixed by an integer class (the two segments and the differences of
+i and of f), so each class is compared with 2r exactly once, and the
+measure is a sum over classes.  The good arcs [c_k + r, c_{k+1} - r) are
 emitted directly in ``ArcSet`` normal form, with one exact endpoint per
 end; the bad arcs are their complement.
 """
@@ -47,7 +41,6 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -125,87 +118,58 @@ def _orbit_segments(theta: Quadratic, endpoints: Sequence, q: int) -> list:
     return segments
 
 
-def _segment_order(theta: Quadratic, p: int, q: int, start: Quadratic, length: int):
-    """Indices i, exact floors f of start - i*theta, and float keys of the
-    centers start - i*theta - f (within KEY_ERROR * (length + 3) of them),
-    all in increasing order of the centers."""
-    i = np.arange(length, dtype=np.int64)
-    x = float(start) - i * float(theta)
-    f = np.floor(x)
-    err = KEY_ERROR * (length + 3)
-    near = np.flatnonzero((x - f <= err) | (x - f >= 1 - err))
-    f = f.astype(np.int64)
-    for k in near.tolist():
-        f[k] = math.floor(start - k * theta)
-    # start - i*theta + lift = start + rho/q - i*(q*theta - p)/q rises with
-    # rho = -i*p mod q (i = q, rho = 0, sits beside i = 0 on the side of
-    # -(q*theta - p)) and spans less than 1, so the centers run through it
-    # from the largest lift down
-    rho = (-i * p) % q
-    lift = f + (rho + i * p) // q
-    rank = 2 * rho
-    if length > q:
-        rank[q] -= (theta * q - p).sign()
-    order = np.lexsort((rank, -lift))
-    return i[order], f[order], (x - f)[order]
-
-
-def _centers(theta: Quadratic, p: int, q: int, segments: list):
-    """The centers in increasing order on [0, 1), as int arrays
-    (segment, i, f): center = start[segment] - i*theta - f."""
-    parts = [_segment_order(theta, p, q, start, length) for start, length in segments]
-    seg = np.concatenate([np.full(len(part[0]), k, dtype=np.int64) for k, part in enumerate(parts)])
-    idx = np.concatenate([part[0] for part in parts])
-    floor = np.concatenate([part[1] for part in parts])
-    if len(parts) == 1:
-        return seg, idx, floor
-    key = np.concatenate([part[2] for part in parts])
-    tol = 2 * KEY_ERROR * (max(length for _, length in segments) + 3)
-    order = np.argsort(key, kind="stable")
-    close = np.flatnonzero(np.diff(key[order]) <= tol).tolist()
-    if close:
-        order = np.array(_settle_close(order.tolist(), close, theta, segments, seg, idx, floor))
-    return seg[order], idx[order], floor[order]
-
-
-def _settle_close(order: list, close: list, theta, segments, seg, idx, floor) -> list:
-    """Sort each run of neighbours in ``order`` whose keys are too close to
-    trust (``close`` holds the first position of each such pair) exactly.
-
-    Two centers in the wrong order by their keys have keys within the
-    tolerance, and so have all keys between them: they share a run.
-    Coincident centers stay, one after the other: the gap of 0 between
-    them merges their bad arcs like any gap of at most 2r.
-    """
-    seg, idx, floor = seg.tolist(), idx.tolist(), floor.tolist()
-    signs = {}
-
-    def compare(x, y):
-        if seg[x] == seg[y]:
-            return x - y  # each segment's block is in exact order already
-        cls = (seg[x], seg[y], idx[x] - idx[y], floor[x] - floor[y])
-        if cls not in signs:
-            gap = segments[cls[0]][0] - segments[cls[1]][0] - cls[2] * theta - cls[3]
-            signs[cls] = gap.sign()
-        return signs[cls]
-
-    out, done, k = [], 0, 0
-    while k < len(close):
-        a = b = close[k]
-        while k < len(close) and close[k] == b:
-            k += 1
-            b += 1
-        out += order[done:a] + sorted(order[a : b + 1], key=cmp_to_key(compare))
-        done = b + 1
-    return out + order[done:]
-
-
-def _numerators(x: Quadratic, denominator: int, d: int) -> Tuple[int, int]:
-    """(a, b) with x = (a + b*sqrt(d)) / denominator."""
-    if x.d and x.d != d:
+def _numerators(values: list) -> Tuple[int, int, list]:
+    """(den, d, [(a, b), ...]) with every x = (a + b*sqrt(d)) / den."""
+    d = max(x.d for x in values)
+    if any(x.d not in (0, d) for x in values):
         raise ValidationError("mixed radicands are not supported")
-    scale = denominator // x.C
-    return x.A * scale, x.B * scale
+    den = math.lcm(*(x.C for x in values))
+    return den, d, [(x.A * (den // x.C), x.B * (den // x.C)) for x in values]
+
+
+def _centers(theta: Quadratic, segments: list):
+    """The centers in increasing order on [0, 1), as int arrays
+    (segment, i, f): center = start[segment] - i*theta - f.
+
+    Float keys x - f, with x = float(start) - i*float(theta), lie within
+    KEY_ERROR * (length + 3) of the centers; a floor is checked exactly
+    where x lies that close to an integer.  The keys are sorted once, and
+    each run of neighbours whose keys are too close to trust is sorted
+    again by exact value.  Two centers in the wrong order by their keys
+    have keys within the tolerance, and so have all keys between them:
+    they share a run.  The sorts are stable, so coincident centers stay one
+    after the other: the gap of 0 between them merges their bad arcs like
+    any gap of at most 2r.
+    """
+    starts = [start for start, _ in segments]
+    seg = np.concatenate([np.full(length, k, dtype=np.int64) for k, (_, length) in enumerate(segments)])
+    idx = np.concatenate([np.arange(length, dtype=np.int64) for _, length in segments])
+    x = np.array([float(s) for s in starts])[seg] - idx * float(theta)
+    err = KEY_ERROR * (max(length for _, length in segments) + 3)
+    f = np.floor(x)
+    near = np.flatnonzero((x - f <= err) | (x - f >= 1 - err))
+    floor = f.astype(np.int64)
+    for k in near.tolist():
+        floor[k] = math.floor(starts[seg[k]] - int(idx[k]) * theta)
+    key = x - floor
+    order = np.argsort(key, kind="stable")
+    close = np.flatnonzero(np.diff(key[order]) <= 2 * err)
+    if close.size:
+        # runs of close neighbours: [a, b) from each first to each last pair
+        split = np.diff(close) > 1
+        runs = zip(close[np.r_[True, split]].tolist(), (close[np.r_[split, True]] + 2).tolist())
+        # exact keys start - i*theta - f = (a + b*sqrt(d)) / den
+        den, d, ((ta, tb), *sn) = _numerators([theta, *starts])
+        order, segs, ids, floors = order.tolist(), seg.tolist(), idx.tolist(), floor.tolist()
+
+        def exact_key(c):
+            sa, sb = sn[segs[c]]
+            return _raw(sa - ids[c] * ta - floors[c] * den, sb - ids[c] * tb, den, d)
+
+        for a, b in runs:
+            order[a:b] = sorted(order[a:b], key=exact_key)
+        order = np.array(order)
+    return seg[order], idx[order], floor[order]
 
 
 def _quadratics(a, b, denominator: int, d: int) -> list:
@@ -215,9 +179,9 @@ def _quadratics(a, b, denominator: int, d: int) -> list:
     return [_raw(x, y, z, d if y else 0) for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
 
 
-def _good_arcs(theta: Quadratic, r: Quadratic, p: int, q: int, segments: list) -> ArcSet:
+def _good_arcs(theta: Quadratic, r: Quadratic, segments: list) -> ArcSet:
     """Complement of the closed arcs of radius r around every center."""
-    seg, idx, floor = _centers(theta, p, q, segments)
+    seg, idx, floor = _centers(theta, segments)
     m = len(seg)
     starts = [start for start, _ in segments]
     # the gap from each center to the next (the last to the first, plus 1)
@@ -243,11 +207,8 @@ def _good_arcs(theta: Quadratic, r: Quadratic, p: int, q: int, segments: list) -
     if good.size == 0:
         return ArcSet.empty(1)
     # numerators over one denominator: center = (ca + cb sqrt(d)) / den
-    den = math.lcm(theta.C, r.C, *(s.C for s in starts))
-    d = theta.d or r.d or max(s.d for s in starts)
-    ta, tb = _numerators(theta, den, d)
-    ra, rb = _numerators(r, den, d)
-    sa, sb = zip(*(_numerators(s, den, d) for s in starts))
+    den, d, ((ta, tb), (ra, rb), *sn) = _numerators([theta, r, *starts])
+    sa, sb = zip(*sn)
     size = (m + 3) * (max(map(abs, sa + sb)) + abs(ta) + abs(tb) + abs(ra) + abs(rb) + den)
     dtype = np.int64 if size < _INT64_SAFE else object
     idx, floor = idx.astype(dtype), floor.astype(dtype)
@@ -281,7 +242,7 @@ def bad_arcs(theta, endpoints: Sequence, n: int, cf: Optional[ContinuedFraction]
     """Arcs of phases whose orbit approaches a coding-arc endpoint too fast.
 
     One closed arc of radius r = |q_n*theta - p_n| around every center
-    e - j*theta, for each endpoint e and 1 <= j <= q_n, built in rotation
+    e - j*theta, for each endpoint e and 1 <= j <= q_n, built in circle
     order (module docstring) and returned in normal form with its exact
     measure.
     """
@@ -293,7 +254,7 @@ def bad_arcs(theta, endpoints: Sequence, n: int, cf: Optional[ContinuedFraction]
     r = convergent_gap(theta, cf, n)
     q = cf.q[n]
     with _collector_paused():
-        return _good_arcs(theta, r, cf.p[n], q, _orbit_segments(theta, endpoints, q)).complement()
+        return _good_arcs(theta, r, _orbit_segments(theta, endpoints, q)).complement()
 
 
 @dataclass(frozen=True)

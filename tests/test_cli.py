@@ -331,6 +331,24 @@ def test_config_file_merging(capsys, tmp_path):
     bad.write_text('{"no_such_key": 1}')
     code, _, err = run_cli(capsys, "cf", "--theta", "golden", "--depth", "5", "--config", str(bad))
     assert code == 2 and "no_such_key" in err
+    # each file value must have its flag's type: an int flag takes a JSON
+    # integer (not a bool), a string flag a string, a switch a bool
+    for values, argv in (
+        ({"resolution": "2048"}, ("spectrum", "--rule", "period-doubling", "--level", "2")),
+        ({"level": "7"}, ("spectrum", "--rule", "period-doubling", "--f-a", "0.3", "--f-b", "-0.3")),
+        ({"mc_samples": 10.5}, ("gordon", "--theta", "golden", "--n", "6")),
+        ({"index": True}, ("gordon", "--theta", "golden")),
+        ({"theta": 0.5}, ("cf", "--depth", "5")),
+        ({"free": 1}, ("spectrum", "--period", "4")),
+    ):
+        bad.write_text(json.dumps(values))
+        code, out, err = run_cli(capsys, *argv, "--config", str(bad))
+        (key,) = values
+        assert (code, out) == (2, "") and repr(key) in err and err.count("\n") == 1, values
+    for values in ({"interval": 5}, {"f_a": ["x", 0]}, {"f_a": True}):
+        bad.write_text(json.dumps(values))
+        code, out, err = run_cli(capsys, "gordon", "--theta", "golden", "--n", "6", "--config", str(bad))
+        assert (code, out) == (2, "") and err.count("\n") == 1, values
 
 
 def test_output_flag_writes_file(capsys, tmp_path):
@@ -361,6 +379,21 @@ def test_exit_codes(capsys):
     assert code == 2  # missing z
     code, _, err = run_cli(capsys, "word", "--rule", "no-such-rule", "--level", "2")
     assert code == 2 and "known rules" in err
+
+
+def test_out_of_memory_is_resource_exit(capsys, monkeypatch):
+    # a level-16 period-doubling operator would need 64 GiB; the builder
+    # raises at once here instead of allocating
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+    monkeypatch.setattr(cli, "periodic_approximant", too_large)
+    code, out, err = run_cli(
+        capsys, "floquet-check", "--rule", "period-doubling", "--level", "16",
+        "--f-a", "0.3", "--f-b", "-0.3",
+    )
+    assert (code, out) == (cli.EXIT_RESOURCE, "")
+    assert err.count("\n") == 1 and "64.0 GiB" in err
 
 
 def test_installed_entry_point_runs():

@@ -1,6 +1,9 @@
 """Gordon phase sets: bad arcs, measure bounds, membership, golden asymptotics."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -87,7 +90,7 @@ def three_gap_measure(theta, n):
 
 @pytest.mark.parametrize(
     "theta, n",
-    [pytest.param(GOLDEN_MEAN, n, id=f"golden-{n}") for n in (6, 9, 12, 15, 20, 24)]
+    [pytest.param(GOLDEN_MEAN, n, id=f"golden-{n}") for n in (6, 9, 12, 15, 20, 24, 27)]
     + [pytest.param(SQRT2_MINUS_1, n, id=f"sqrt2-1-{n}") for n in (4, 7, 8)]
     + [pytest.param(FAST_THETA, n, id=f"fast-{n}") for n in (3, 4)],
 )
@@ -374,3 +377,20 @@ def test_sturmian_endpoints_make_one_orbit_segment():
     for endpoints in ((1 - GOLDEN_MEAN, 0), (0, 1 - GOLDEN_MEAN), (1 - GOLDEN_MEAN, 0, 1)):
         assert _orbit_segments(GOLDEN_MEAN, endpoints, q) == [(start, q + 1)]
     assert len(_orbit_segments(GOLDEN_MEAN, (0, Fraction(1, 2)), q)) == 2
+
+
+def test_gordon_cli_outputs_match_pinned_hashes():
+    # a subprocess, so that the "q_n is odd" warnings the hashes cover reach
+    # stderr instead of pytest's warning capture; exact arithmetic and PCG64
+    # make these bytes the same on every platform
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "tools", "pinned_outputs.txt"), encoding="utf-8") as fh:
+        names = [line.split()[1] for line in fh if line.split()[1].startswith("gordon-")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "tools", "pinned_outputs.py"), "--check", *names],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"{len(names)} of {len(names)} configs match" in proc.stderr
