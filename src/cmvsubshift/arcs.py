@@ -9,13 +9,16 @@ intersection, measure) stays in that type.  Construction from sweeps sorts
 complement and intersection then work on the sorted disjoint arcs directly
 (one pass, no re-sorting).  A builder that already has the arcs in normal
 form, as ``gordon`` has them in circle order, wraps them without any
-comparison (``_from_normal_form``), with its measure if it knows it; a
-complement carries the known measure over.  Otherwise the measure is summed
-once per set.  Floats appear only when a caller asks for them (JSON export,
-sampling, vectorized membership), and each endpoint is converted to a float
-once per set.  An arc across 0 is stored as two pieces, [0, hi) and
-[lo, period); ``count`` is the number of pieces, the JSON "count" the
-number of arcs on the circle.
+comparison (``_from_normal_form``), with its measure if it knows it and
+its float endpoints if it has rounded them itself; a complement carries
+the known measure over.  Otherwise the measure is summed once per set.
+Floats appear only when a caller asks for them (JSON export, sampling,
+membership), and each endpoint is converted to a float once per set unless
+the code that built the set handed its floats over.  Rounding is monotone,
+so the float endpoints of a set in normal form never decrease, and samples
+can be counted with two binary searches per arc (``count_contained``).  An
+arc across 0 is stored as two pieces, [0, hi) and [lo, period); ``count``
+is the number of pieces, the JSON "count" the number of arcs on the circle.
 """
 
 from __future__ import annotations
@@ -94,14 +97,15 @@ class ArcSet:
         self._floats = self._measure = None
 
     @classmethod
-    def _from_normal_form(cls, arcs: List[Tuple], period, measure=None) -> "ArcSet":
+    def _from_normal_form(cls, arcs: List[Tuple], period, measure=None, floats=None) -> "ArcSet":
         """Wrap arcs that are already sorted, disjoint, non-touching and in
         [0, period]: the normal form __init__ produces.  ``measure``, when
-        given, is their total length."""
+        given, is their total length; ``floats``, when given, the lists
+        ([float(lo), ...], [float(hi), ...]) of their endpoints."""
         out = object.__new__(cls)
         out.period = period
         out.arcs = arcs
-        out._floats = None
+        out._floats = floats
         out._measure = measure
         return out
 
@@ -166,6 +170,15 @@ class ArcSet:
         ok = idx >= 0
         idx = np.clip(idx, 0, len(los) - 1)
         return ok & (v < his[idx])
+
+    def count_contained(self, xs: Sequence[float]) -> int:
+        """How many of xs lie in the set: ``contains_many(xs).sum()``, by two
+        binary searches per arc in the sorted samples instead of one per
+        sample.  Each arc counts the samples with lo <= x < hi; the float
+        endpoints never decrease, so no sample is counted twice."""
+        v = np.sort(np.asarray(xs, dtype=float) % float(self.period))
+        los, his = self._float_endpoints()
+        return int(np.searchsorted(v, his, side="left").sum() - np.searchsorted(v, los, side="left").sum())
 
     # -- set algebra ---------------------------------------------------------
 

@@ -31,6 +31,16 @@ i and of f), so each class is compared with 2r exactly once, and the
 measure is a sum over classes.  The good arcs [c_k + r, c_{k+1} - r) are
 emitted directly in ``ArcSet`` normal form, with one exact endpoint per
 end; the bad arcs are their complement.
+
+The float of every endpoint (for JSON and sampling) is rounded on the same
+integer arrays (``_round_numerators``): (a + b*sqrt(d))/den is evaluated in
+double-double arithmetic, Dekker's TwoProd and Knuth's TwoSum on exact
+two-float splits of the int64 numerators and of sqrt(d), with an error below
+E = 2^-98 (|a| + |b| sqrt(d)) / den, and its rounding is accepted wherever
+the value lies more than E inside the rounding interval of that float.
+Every other endpoint (within E of a midpoint between two floats, a
+denominator of 2^53 or more, or numerators past int64, as for a long
+decimal theta) takes ``float`` of its exact value.
 """
 
 from __future__ import annotations
@@ -179,8 +189,106 @@ def _quadratics(a, b, denominator: int, d: int) -> list:
     return [_raw(x, y, z, d if y else 0) for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
 
 
+# -- endpoint floats on the arrays ---------------------------------------------
+
+
+def _two_sum(x, y):
+    """s + e = x + y exactly, s = fl(x + y) (Knuth)."""
+    s = x + y
+    z = s - x
+    return s, (x - (s - z)) + (y - z)
+
+
+def _split(x):
+    """x = hi + lo exactly, each with at most 26 significant bits (Veltkamp)."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_prod(x, y):
+    """p + e = x * y exactly, p = fl(x * y) (Dekker)."""
+    p = x * y
+    xh, xl = _split(x)
+    yh, yl = _split(y)
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def _exact_split(a):
+    """Floats (hi, lo) with hi + lo = a exactly for an int64 array a:
+    hi = fl(a), and lo the integer rest, |lo| <= 2^-53 |a|."""
+    hi = a.astype(np.float64)
+    return hi, (a - hi.astype(np.int64)).astype(np.float64)
+
+
+def _sqrt_pair(d: int) -> Tuple[float, float]:
+    """(hi, lo) with hi = fl(sqrt(d)) and |sqrt(d) - hi - lo| <= 2^-105 sqrt(d)."""
+    if d == 0:
+        return 0.0, 0.0
+    hi = math.sqrt(d)
+    # floor(sqrt(d) 2^128) is within 2^-128 of sqrt(d) 2^128; lo rounds the rest
+    return hi, float(Fraction(math.isqrt(d << 256), 1 << 128) - Fraction(hi))
+
+
+def _round_numerators(a, b, den: int, d: int):
+    """(f, certified): f the floats of (a + b*sqrt(d)) / den for int64 arrays a
+    and b (|a|, |b| < 2^62, 0 < den < 2^53), certified where f is the
+    correctly rounded value.
+
+    With u = 2^-53 and S = |a| + |b| sqrt(d), the value is computed as
+    q1 + q2 within 25 u^2 S / den:
+      * a = a_f + a_r and b = b_f + b_r exactly (``_exact_split``), and
+        sqrt(d) = s_hi + s_lo within 2 u^2 sqrt(d) (``_sqrt_pair``);
+      * the numerator is a_f + (p + p_err) + t: p + p_err = b_f s_hi exactly
+        (``_two_prod``), and t = fl(fl(a_r + fl(b_r s_hi)) + fl(b_f s_lo))
+        within 6 u^2 S of a_r + b_r s_hi + b_f s_lo, three terms of at most
+        1.02 u S each; b_r s_lo, dropped, and the error of s_lo add 3.1 u^2 S;
+      * the four terms, of absolute sum at most 1.01 S, are summed by a
+        cascade of TwoSums with the rounding errors summed on the side
+        (Sum2 of Ogita, Rump and Oishi), within gamma_3^2 < 9.1 u^2 of that
+        sum, into the exact pair n_hi + n_lo;
+      * q1 = fl(n_hi / den), the remainder n_hi + n_lo - q1 den is exact up
+        to its last two roundings, and q2 = fl(remainder / den): within
+        6 u^2 S / den of (n_hi + n_lo) / den.
+    The kernel takes E = 2^-98 S_f / den, S_f = |a_f| + |b_f| s_hi, which is
+    more than ten times that (25 u^2 < 2^-101).  f = fl(q1 + q2) is the
+    correctly rounded value wherever |q1 + q2 - f| + E is below half the gap
+    from f to its nearer neighbouring float: the value then lies strictly
+    inside f's rounding interval.
+    """
+    s_hi, s_lo = _sqrt_pair(d)
+    a_f, a_r = _exact_split(a)
+    b_f, b_r = _exact_split(b)
+    p, p_err = _two_prod(b_f, s_hi)
+    total, e1 = _two_sum(a_f, p)
+    total, e2 = _two_sum(total, p_err)
+    total, e3 = _two_sum(total, (a_r + b_r * s_hi) + b_f * s_lo)
+    n_hi, n_lo = _two_sum(total, (e1 + e2) + e3)
+    q1 = n_hi / den
+    p, p_err = _two_prod(q1, float(den))
+    q2 = (((n_hi - p) - p_err) + n_lo) / den
+    f = q1 + q2
+    off = np.abs((q1 - f) + q2) * (1 + 2.0 ** -50)
+    bound = 2.0 ** -98 * (np.abs(a_f) + np.abs(b_f) * s_hi) / den
+    gap = np.minimum(np.nextafter(f, np.inf) - f, f - np.nextafter(f, -np.inf))
+    return f, 2 * (off + bound) < gap
+
+
+def _endpoint_floats(a, b, den: int, d: int, values: list) -> list:
+    """float(x) for every x = values[k] = (a[k] + b[k]*sqrt(d)) / den: rounded
+    on the arrays where certified, from the exact value everywhere else."""
+    if a.dtype != np.int64 or den >= 1 << 53:
+        return [float(x) for x in values]
+    f, certified = _round_numerators(a, b, den, d)
+    out = f.tolist()
+    for k in np.flatnonzero(~certified).tolist():
+        out[k] = float(values[k])
+    return out
+
+
 def _good_arcs(theta: Quadratic, r: Quadratic, segments: list) -> ArcSet:
-    """Complement of the closed arcs of radius r around every center."""
+    """Complement of the closed arcs of radius r around every center, with
+    its exact measure and its float endpoints."""
     seg, idx, floor = _centers(theta, segments)
     m = len(seg)
     starts = [start for start, _ in segments]
@@ -214,28 +322,28 @@ def _good_arcs(theta: Quadratic, r: Quadratic, segments: list) -> ArcSet:
     idx, floor = idx.astype(dtype), floor.astype(dtype)
     ca = np.array(sa, dtype=dtype)[seg] - idx * ta - floor * den
     cb = np.array(sb, dtype=dtype)[seg] - idx * tb
-    wrap = good[-1] == m - 1
-    if wrap:
-        good = good[:-1]
-    arcs = list(
-        zip(
-            _quadratics(ca[good] + ra, cb[good] + rb, den, d),
-            _quadratics(ca[good + 1] - ra, cb[good + 1] - rb, den, d),
-        )
-    )
-    if wrap:
-        # the gap across 0: [c_last + r, c_first + 1 - r), split at 0 unless
-        # it lies on one side of it
-        (lo,) = _quadratics(ca[-1:] + ra, cb[-1:] + rb, den, d)
-        (hi,) = _quadratics(ca[:1] - ra + den, cb[:1] - rb, den, d)
+    # arc k is [c_k + r, c_{k+1} - r), the next center of the last one turn on
+    lo_a, lo_b = ca[good] + ra, cb[good] + rb
+    next_a = np.roll(ca, -1)
+    next_a[-1] += den
+    hi_a, hi_b = next_a[good] - ra, np.roll(cb, -1)[good] - rb
+    if good[-1] == m - 1:
+        # the gap across 0: [c_last + r, c_first + 1 - r), one turn back to
+        # the front if it lies past 1, split at 0 if it lies across it
+        (lo,) = _quadratics(lo_a[-1:], lo_b[-1:], den, d)
+        (hi,) = _quadratics(hi_a[-1:], hi_b[-1:], den, d)
+        turn = np.array([-den], dtype=dtype)
         if lo >= 1:
-            arcs.insert(0, (lo - 1, hi - 1))
-        elif hi <= 1:
-            arcs.append((lo, hi))
-        else:
-            arcs.insert(0, (_raw(0, 0, 1, 0), hi - 1))
-            arcs.append((lo, 1))
-    return ArcSet._from_normal_form(arcs, 1, measure)
+            lo_a, hi_a = (np.concatenate([x[-1:] + turn, x[:-1]]) for x in (lo_a, hi_a))
+            lo_b, hi_b = (np.concatenate([x[-1:], x[:-1]]) for x in (lo_b, hi_b))
+        elif not hi <= 1:
+            zero = np.zeros(1, dtype=dtype)
+            lo_a, lo_b = np.concatenate([zero, lo_a]), np.concatenate([zero, lo_b])
+            hi_a = np.concatenate([hi_a[-1:] + turn, hi_a[:-1], -turn])
+            hi_b = np.concatenate([hi_b[-1:], hi_b[:-1], zero])
+    los, his = _quadratics(lo_a, lo_b, den, d), _quadratics(hi_a, hi_b, den, d)
+    floats = (_endpoint_floats(lo_a, lo_b, den, d, los), _endpoint_floats(hi_a, hi_b, den, d, his))
+    return ArcSet._from_normal_form(list(zip(los, his)), 1, measure, floats=floats)
 
 
 def bad_arcs(theta, endpoints: Sequence, n: int, cf: Optional[ContinuedFraction] = None) -> ArcSet:
@@ -315,9 +423,8 @@ def gordon_set(
         kind = "rotation-coding"
     else:
         raise ValidationError(f"mode must be one of {MODES}")
-    bad = bad_arcs(theta, endpoints, n, cf=cf)
     with _collector_paused():
-        good = bad.complement()
+        good = _good_arcs(theta, r, _orbit_segments(theta, endpoints, q))
     applicable = q % 2 == 0
     if not applicable:
         warnings.warn(
@@ -367,11 +474,15 @@ def verify_membership(
 
 
 def monte_carlo_measure(arcs: ArcSet, samples: int, rng) -> dict:
-    """Uniform-sampling estimate of an arc set's measure, with its 1-sigma error."""
+    """Uniform-sampling estimate of an arc set's measure, with its 1-sigma error.
+
+    The hits are counted on the sorted samples (``ArcSet.count_contained``,
+    two binary searches per arc), the same count as ``contains_many``.
+    """
     if samples < 1:
         raise ValidationError("need at least one sample")
     xs = rng.uniform(0.0, float(arcs.period), samples)
-    hits = int(arcs.contains_many(xs).sum())
+    hits = arcs.count_contained(xs)
     p = hits / samples
     sigma = float(np.sqrt(max(p * (1.0 - p), 1e-12) / samples)) * float(arcs.period)
     return {

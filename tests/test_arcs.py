@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmvsubshift.arcs import ArcSet
 from cmvsubshift.errors import ValidationError
-from cmvsubshift.quadratic import GOLDEN_MEAN, Quadratic
+from cmvsubshift.gordon import gordon_set, monte_carlo_measure
+from cmvsubshift.quadratic import GOLDEN_MEAN, SQRT2_MINUS_1, Quadratic
 
 TAU = 2 * math.pi
 
@@ -100,3 +103,71 @@ def test_as_dict_roundtrip():
     d = s.as_dict()
     assert d["count"] == 1 and abs(d["measure"] - 0.25) < 1e-15
     assert d["arcs"][0] == {"lo": 0.25, "hi": 0.5}
+
+
+# -- counting samples on sorted samples ----------------------------------------
+
+TINY = Fraction(1, 2**80)
+
+
+@st.composite
+def exact_arc_sets(draw):
+    """Exact sets on R/Z whose endpoints k/64 + e 2^-80 often share a float:
+    arcs narrower than a float, arcs touching in floats only, pieces [0, hi)
+    and [lo, 1), and the empty and the full set."""
+    kind = draw(st.sampled_from(["arcs", "arcs", "arcs", "empty", "full"]))
+    if kind != "arcs":
+        return ArcSet.empty(1) if kind == "empty" else ArcSet.full(1)
+    points = st.tuples(st.integers(0, 64), st.integers(0, 3)).filter(lambda p: p[0] < 64 or p[1] == 0)
+    cuts = sorted(set(draw(st.lists(points, min_size=2, max_size=16))))
+    ends = [Fraction(k, 64) + e * TINY for k, e in cuts]
+    sweeps = list(zip(ends[::2], ends[1::2]))
+    if draw(st.booleans()) and len(ends) >= 3:
+        sweeps.append((ends[-1], ends[0] + 1))  # one sweep across 0
+    return ArcSet(sweeps, 1)
+
+
+@st.composite
+def float_arc_sets(draw):
+    """Float sets on the circle of period 2 pi."""
+    cuts = sorted(set(draw(st.lists(st.floats(0.0, TAU, allow_nan=False), max_size=16))))
+    return ArcSet(list(zip(cuts[::2], cuts[1::2])), TAU)
+
+
+def samples_for(s, draw):
+    """Every float endpoint and its two neighbours, 0 and the period, and
+    uniform draws on [-period, 2 period)."""
+    period = float(s.period)
+    xs = [0.0, period]
+    for x in (*s._float_endpoints()[0], *s._float_endpoints()[1]):
+        xs += [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
+    xs += draw(st.lists(st.floats(-period, 2 * period, allow_nan=False, exclude_max=True), max_size=30))
+    return np.array(xs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data(), exact=st.booleans())
+def test_count_contained_equals_contains_many(data, exact):
+    s = data.draw(exact_arc_sets() if exact else float_arc_sets())
+    xs = samples_for(s, data.draw)
+    assert s.count_contained(xs) == int(s.contains_many(xs).sum())
+
+
+def reference_monte_carlo(arcs, samples, rng):
+    """monte_carlo_measure with its hits counted by contains_many."""
+    xs = rng.uniform(0.0, float(arcs.period), samples)
+    p = int(arcs.contains_many(xs).sum()) / samples
+    sigma = float(np.sqrt(max(p * (1.0 - p), 1e-12) / samples)) * float(arcs.period)
+    return {"samples": samples, "estimate": p * float(arcs.period), "sigma": sigma}
+
+
+@pytest.mark.filterwarnings("ignore:q_.* is odd")
+def test_monte_carlo_measure_matches_a_contains_many_count():
+    sets = [
+        gordon_set(GOLDEN_MEAN, 16).arcs,
+        gordon_set(SQRT2_MINUS_1, 8, "coding", (Fraction(7, 10), Fraction(1, 5))).arcs,
+    ]
+    for arcs in sets:
+        for seed in range(4):
+            got = monte_carlo_measure(arcs, 20_000, np.random.default_rng(seed))
+            assert got == reference_monte_carlo(arcs, 20_000, np.random.default_rng(seed))

@@ -10,9 +10,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from cmvsubshift import gordon as gordon_module
 from cmvsubshift.errors import ValidationError
 from cmvsubshift.gordon import (
+    _endpoint_floats,
     _orbit_segments,
+    _round_numerators,
     bad_arcs,
     convergent_gap,
     golden_limits,
@@ -394,3 +397,106 @@ def test_gordon_cli_outputs_match_pinned_hashes():
     )
     assert proc.returncode == 0, proc.stderr
     assert f"{len(names)} of {len(names)} configs match" in proc.stderr
+
+
+# -- endpoint floats rounded on the numerator arrays --------------------------
+
+GOLDEN_55 = "0.6180339887498948482045868343656381177203091798057628621"
+
+
+def assert_floats_are_rounded_exact_endpoints(arcs):
+    los, his = arcs._float_endpoints()
+    assert los == [float(lo) for lo, _ in arcs.arcs]
+    assert his == [float(hi) for _, hi in arcs.arcs]
+
+
+@pytest.mark.filterwarnings("ignore:q_.* is odd")
+def test_endpoint_floats_equal_the_rounded_exact_endpoints(monkeypatch):
+    rounded = []
+
+    def recording(a, b, den, d):
+        f, certified = _round_numerators(a, b, den, d)
+        rounded.append(certified)
+        return f, certified
+
+    monkeypatch.setattr(gordon_module, "_round_numerators", recording)
+    for theta, top in ((GOLDEN_MEAN, 24), (SQRT2_MINUS_1, 10)):
+        for n in range(1, top + 1):
+            assert_floats_are_rounded_exact_endpoints(gordon_set(theta, n).arcs)
+    # seeded coding intervals, some across 0 (lo > hi)
+    rng = np.random.default_rng(14)
+    coded = across = 0
+    for k in range(12):
+        lo, hi = (Fraction(int(x), 1000) for x in rng.integers(0, 1000, 2))
+        if lo == hi:
+            continue
+        coded += 1
+        across += lo > hi
+        theta, n = ((GOLDEN_MEAN, 13), (SQRT2_MINUS_1, 8))[k % 2]
+        assert_floats_are_rounded_exact_endpoints(gordon_set(theta, n, "coding", (lo, hi)).arcs)
+    assert coded >= 10 and across >= 3
+    # on every int64 set above, each float came from the arrays
+    assert rounded and all(certified.all() for certified in rounded)
+    # the 55-digit decimal takes object arrays: every float from its exact value
+    rounded.clear()
+    assert_floats_are_rounded_exact_endpoints(gordon_set(parse_theta(GOLDEN_55), 13).arcs)
+    assert not rounded
+
+
+def pell_near_integer(k):
+    """(x, y) with x - y*sqrt(5) = (9 - 4 sqrt(5))^k, about 0.0557^k."""
+    x, y = 1, 0
+    for _ in range(k):
+        x, y = 9 * x + 20 * y, 4 * x + 9 * y
+    return x, y
+
+
+def test_round_numerators_falls_back_next_to_a_midpoint():
+    midpoint = 2**53 + 5  # between the floats 2^53 + 4 and 2^53 + 6
+    cases = [
+        # b = 0, exactly on a midpoint
+        (midpoint, 0, 1, 5),
+        (-midpoint, 0, 1, 0),
+        (3 * midpoint, 0, 3, 5),
+        (2**53 + 1, 0, 2**52, 0),  # 2 + 2^-52, between 2 and 2 + 2^-51
+        # b = 0, (2j + 1) 2^-104 above, then below, the midpoint 2 + (2j + 1) 2^-52
+        *((2**53 + 2 * j - 1, 0, 2**52 - 1, 0) for j in range(4)),
+        *((2**53 + 2 * j + 3, 0, 2**52 + 1, 0) for j in range(4)),
+        # b != 0, within 2^-103 (relative) of a midpoint: a + b sqrt(5) = M -+ eps
+        *((midpoint - x, y, 1, 5) for x, y in map(pell_near_integer, (12, 13))),
+        *((midpoint + x, -y, 1, 5) for x, y in map(pell_near_integer, (12, 13))),
+    ]
+    for a_k, b_k, den, d in cases:
+        a, b = np.array([a_k]), np.array([b_k])
+        assert not _round_numerators(a, b, den, d)[1][0], (a_k, b_k, den, d)
+        value = Quadratic(Fraction(a_k, den), Fraction(b_k, den), 5)
+        assert _endpoint_floats(a, b, den, d, [value]) == [float(value)]
+    # within 2^-80 of a midpoint but farther than the error bound: certified,
+    # and correctly rounded
+    for k in (7, 8):
+        x, y = pell_near_integer(k)
+        for a_k, b_k in ((midpoint - x, y), (midpoint + x, -y)):
+            f, certified = _round_numerators(np.array([a_k]), np.array([b_k]), 1, 5)
+            assert certified[0]
+            assert f[0] == float(Quadratic(a_k, b_k, 5))
+    # a denominator of 2^53 or more need not be a float: every value is exact
+    value = Quadratic(Fraction(1, 2**53 + 1))
+    assert _endpoint_floats(np.array([1]), np.array([0]), 2**53 + 1, 0, [value]) == [float(value)]
+
+
+@pytest.mark.filterwarnings("ignore:q_.* is odd")
+def test_good_set_equals_the_complement_of_the_bad_arcs():
+    # gordon_set builds the good arcs directly; the bad arcs are their
+    # complement, and complementing those again gives the same set
+    for theta, top in ((GOLDEN_MEAN, 16), (SQRT2_MINUS_1, 10)):
+        for n in range(1, top + 1):
+            cf = continued_fraction(theta, n + 2)
+            for mode, endpoints, interval in (
+                ("sturmian", (1 - theta, 0), None),
+                ("coding", (Fraction(1, 10), Fraction(2, 5)), (Fraction(1, 10), Fraction(2, 5))),
+                ("coding", (Fraction(9, 10), Fraction(3, 10)), (Fraction(9, 10), Fraction(3, 10))),
+            ):
+                good = gordon_set(theta, n, mode, interval).arcs
+                again = bad_arcs(theta, endpoints, n, cf=cf).complement()
+                assert good.arcs == again.arcs, (n, mode, interval)
+                assert good.measure == again.measure

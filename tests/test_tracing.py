@@ -34,8 +34,11 @@ def test_tracer_installs_and_uninstalls_cleanly():
         tracer.uninstall()
     assert gordon.gordon_set is original
     assert all(Quadratic.__dict__[name] is fn for name, fn in wrapped.items())
-    # the Gordon set is built by bad_arcs, in normal form: no ArcSet.__init__
-    # pieces, and a few exact comparisons per gap class
-    assert metrics["gordon.bad_arcs_s"] > 0
+    # the Gordon set is built in gordon_set itself, in normal form, without
+    # the bad arcs: no ArcSet.__init__ pieces, no complement, and a few exact
+    # comparisons per gap class
+    assert metrics["gordon.gordon_set_self_s"] > 0
+    assert metrics["gordon.bad_arcs_s"] == 0
+    assert metrics["arcs.complement_s"] == 0
     assert metrics["arcs.init.pieces"] == 0
     assert 0 < metrics["quadratic.compare.calls"] < 100
