@@ -12,9 +12,12 @@ form, as ``gordon`` has them in circle order, wraps them without any
 comparison (``_from_normal_form``), with its measure if it knows it and
 its float endpoints if it has rounded them itself; a complement carries
 the known measure over.  Otherwise the measure is summed once per set.
-Floats appear only when a caller asks for them (JSON export, sampling,
-membership), and each endpoint is converted to a float once per set unless
-the code that built the set handed its floats over.  Rounding is monotone,
+In place of the list, the builder may hand over an object whose slices
+build the arcs they hold (``gordon``'s numerator arrays); ``count`` and the
+JSON export read only its length and its first and last arc.  Floats appear
+only when a caller asks for them (JSON export, sampling, membership), and
+each endpoint is converted to a float once per set unless the code that
+built the set handed its floats over.  Rounding is monotone,
 so the float endpoints of a set in normal form never decrease, and samples
 can be counted with two binary searches per arc (``count_contained``).  An
 arc across 0 is stored as two pieces, [0, hi) and [lo, period); ``count``
@@ -58,7 +61,7 @@ class ArcSet:
     sweep of length >= period fills the circle.
     """
 
-    __slots__ = ("period", "arcs", "_floats", "_measure")
+    __slots__ = ("period", "_arcs", "_floats", "_measure")
 
     def __init__(self, arcs: Iterable[Tuple], period=1):
         if isinstance(period, (int, float)) and not period > 0:
@@ -93,18 +96,18 @@ class ArcSet:
                 else:
                     merged.append((lo, hi))
         self.period = period
-        self.arcs = merged
+        self._arcs = merged
         self._floats = self._measure = None
 
     @classmethod
-    def _from_normal_form(cls, arcs: List[Tuple], period, measure=None, floats=None) -> "ArcSet":
-        """Wrap arcs that are already sorted, disjoint, non-touching and in
-        [0, period]: the normal form __init__ produces.  ``measure``, when
-        given, is their total length; ``floats``, when given, the lists
-        ([float(lo), ...], [float(hi), ...]) of their endpoints."""
+    def _from_normal_form(cls, arcs: Sequence[Tuple], period, measure=None, floats=None) -> "ArcSet":
+        """Wrap arcs already in the normal form __init__ produces (sorted,
+        disjoint, non-touching, in [0, period]), as a list or a sized object
+        whose slices list them.  ``measure``, when given, is their length;
+        ``floats`` the lists ([float(lo), ...], [float(hi), ...])."""
         out = object.__new__(cls)
         out.period = period
-        out.arcs = arcs
+        out._arcs = arcs
         out._floats = floats
         out._measure = measure
         return out
@@ -124,16 +127,23 @@ class ArcSet:
     # -- basic queries -------------------------------------------------------
 
     @property
+    def arcs(self) -> List[Tuple]:
+        """The arcs as a list, built once from what the builder handed over."""
+        if not isinstance(self._arcs, list):
+            self._arcs = self._arcs[:]
+        return self._arcs
+
+    @property
     def count(self) -> int:
-        return len(self.arcs)
+        return len(self._arcs)
 
     @property
     def is_empty(self) -> bool:
-        return not self.arcs
+        return not len(self._arcs)
 
     @property
     def is_full(self) -> bool:
-        return len(self.arcs) == 1 and self.arcs[0][0] == 0 and self.arcs[0][1] == self.period
+        return self.count == 1 and self.arcs[0][0] == 0 and self.arcs[0][1] == self.period
 
     @property
     def measure(self):
@@ -248,10 +258,9 @@ class ArcSet:
 
     def as_dict(self) -> dict:
         """JSON form.  "count" is the number of arcs on the circle: an arc
-        across 0, stored as [0, hi) and [lo, period), counts once."""
-        arcs = self.arcs
-        count = len(arcs)
-        if count >= 2 and arcs[0][0] == 0 and arcs[-1][1] == self.period:
+        across 0, stored as [0, hi) and [lo, period), counts once (exactly)."""
+        count = len(self._arcs)
+        if count >= 2 and self._arcs[:1][0][0] == 0 and self._arcs[-1:][0][1] == self.period:
             count -= 1
         return {
             "period": float(self.period),

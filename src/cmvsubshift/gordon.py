@@ -29,26 +29,26 @@ coincident centers merge through their gap of 0.  A gap between neighbours
 is then fixed by an integer class (the two segments and the differences of
 i and of f), so each class is compared with 2r exactly once, and the
 measure is a sum over classes.  The good arcs [c_k + r, c_{k+1} - r) are
-emitted directly in ``ArcSet`` normal form, with one exact endpoint per
-end; the bad arcs are their complement.
+emitted directly in ``ArcSet`` normal form as numerator arrays
+(``_ExactArcs``): exact endpoints are built only for the arcs a caller
+reads, too few to need the garbage collector paused.  The bad arcs are
+their complement.
 
-The float of every endpoint (for JSON and sampling) is rounded on the same
-integer arrays (``_round_numerators``): (a + b*sqrt(d))/den is evaluated in
-double-double arithmetic, Dekker's TwoProd and Knuth's TwoSum on exact
-two-float splits of the int64 numerators and of sqrt(d), with an error below
-E = 2^-98 (|a| + |b| sqrt(d)) / den, and its rounding is accepted wherever
-the value lies more than E inside the rounding interval of that float.
-Every other endpoint (within E of a midpoint between two floats, a
-denominator of 2^53 or more, or numerators past int64, as for a long
-decimal theta) takes ``float`` of its exact value.
+The float of every endpoint (for JSON and sampling) comes from the same
+arrays: for a rational a/den one correctly rounded int division, for a surd
+(a + b*sqrt(d))/den double-double arithmetic (``_round_numerators``),
+Dekker's TwoProd and Knuth's TwoSum on exact two-float splits of the int64
+numerators and of sqrt(d), with an error below
+E = 2^-98 (|a| + |b| sqrt(d)) / den; its rounding is accepted wherever the
+value lies more than E inside the rounding interval of that float.  Every
+other surd (within E of a midpoint between two floats, a denominator of
+2^53 or more, or numerators past int64) takes ``float`` of its exact value.
 """
 
 from __future__ import annotations
 
-import gc
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -56,15 +56,14 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .arcs import ArcSet
-from .errors import ValidationError
-from .quadratic import GOLDEN_MEAN, Quadratic, _raw, exact
+from .errors import ResourceCapError, ValidationError
+from .quadratic import GOLDEN_MEAN, Quadratic, _exact_sign, _make, _raw, exact
 from .words import (
     ContinuedFraction,
     RotationCoding,
     check_three_block,
     coding_arc,
     continued_fraction,
-    sturmian_coding,
 )
 
 MODES = ("sturmian", "coding")
@@ -78,21 +77,18 @@ KEY_ERROR = 2.0 ** -50
 _INT64_SAFE = 1 << 62
 
 
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector while a set's arcs are built.
-
-    They are hundreds of thousands of new objects at golden n = 27, and no
-    cycles: with the collector running, its full passes over the growing
-    heap take longer than the construction itself.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+def _mode_arc(theta: Quadratic, mode: str, interval: Optional[Tuple]) -> tuple:
+    """The coding arc of a mode, as ``coding_arc`` reads it: [1 - theta, 1) in
+    Sturmian mode, which takes no interval, and the interval in coding mode."""
+    if mode == "sturmian":
+        if interval is not None:
+            raise ValidationError("sturmian mode fixes the coding arc; drop the interval")
+        return coding_arc(1 - theta, 1)
+    if mode == "coding":
+        if interval is None:
+            raise ValidationError("coding mode needs the arc endpoints")
+        return coding_arc(*interval)
+    raise ValidationError(f"mode must be one of {MODES}")
 
 
 def convergent_gap(theta, cf: ContinuedFraction, n: int) -> Quadratic:
@@ -137,9 +133,10 @@ def _numerators(values: list) -> Tuple[int, int, list]:
     return den, d, [(x.A * (den // x.C), x.B * (den // x.C)) for x in values]
 
 
-def _centers(theta: Quadratic, segments: list):
+def _centers(theta: Quadratic, segments: list, numerators: tuple):
     """The centers in increasing order on [0, 1), as int arrays
-    (segment, i, f): center = start[segment] - i*theta - f.
+    (segment, i, f): center = start[segment] - i*theta - f, with
+    ``numerators`` (den, d, (ta, tb), [(sa, sb), ...]) of theta and starts.
 
     Float keys x - f, with x = float(start) - i*float(theta), lie within
     KEY_ERROR * (length + 3) of the centers; a floor is checked exactly
@@ -169,7 +166,7 @@ def _centers(theta: Quadratic, segments: list):
         split = np.diff(close) > 1
         runs = zip(close[np.r_[True, split]].tolist(), (close[np.r_[split, True]] + 2).tolist())
         # exact keys start - i*theta - f = (a + b*sqrt(d)) / den
-        den, d, ((ta, tb), *sn) = _numerators([theta, *starts])
+        den, d, (ta, tb), sn = numerators
         order, segs, ids, floors = order.tolist(), seg.tolist(), idx.tolist(), floor.tolist()
 
         def exact_key(c):
@@ -182,11 +179,9 @@ def _centers(theta: Quadratic, segments: list):
     return seg[order], idx[order], floor[order]
 
 
-def _quadratics(a, b, denominator: int, d: int) -> list:
-    """The values (a + b*sqrt(d)) / denominator of two numerator arrays."""
-    g = np.gcd(np.gcd(a, b), denominator)
-    a, b, c = a // g, b // g, denominator // g
-    return [_raw(x, y, z, d if y else 0) for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
+def _quadratics(a, b, den: int, d: int) -> list:
+    """The values (a + b*sqrt(d)) / den of two numerator arrays."""
+    return [_make(x, y, den, d) for x, y in zip(a.tolist(), b.tolist())]
 
 
 # -- endpoint floats on the arrays ---------------------------------------------
@@ -223,8 +218,6 @@ def _exact_split(a):
 
 def _sqrt_pair(d: int) -> Tuple[float, float]:
     """(hi, lo) with hi = fl(sqrt(d)) and |sqrt(d) - hi - lo| <= 2^-105 sqrt(d)."""
-    if d == 0:
-        return 0.0, 0.0
     hi = math.sqrt(d)
     # floor(sqrt(d) 2^128) is within 2^-128 of sqrt(d) 2^128; lo rounds the rest
     return hi, float(Fraction(math.isqrt(d << 256), 1 << 128) - Fraction(hi))
@@ -274,24 +267,48 @@ def _round_numerators(a, b, den: int, d: int):
     return f, 2 * (off + bound) < gap
 
 
-def _endpoint_floats(a, b, den: int, d: int, values: list) -> list:
-    """float(x) for every x = values[k] = (a[k] + b[k]*sqrt(d)) / den: rounded
-    on the arrays where certified, from the exact value everywhere else."""
+def _endpoint_floats(a, b, den: int, d: int) -> list:
+    """float((a[k] + b[k]*sqrt(d)) / den) for every k: one int division for a
+    rational, rounded on the arrays where certified, and from the exact
+    value everywhere else."""
+    if d == 0:
+        return [x / den for x in a.tolist()]  # int true division rounds correctly
     if a.dtype != np.int64 or den >= 1 << 53:
-        return [float(x) for x in values]
+        return [float(x) for x in _quadratics(a, b, den, d)]
     f, certified = _round_numerators(a, b, den, d)
     out = f.tolist()
     for k in np.flatnonzero(~certified).tolist():
-        out[k] = float(values[k])
+        out[k] = float(_make(int(a[k]), int(b[k]), den, d))
     return out
 
 
-def _good_arcs(theta: Quadratic, r: Quadratic, segments: list) -> ArcSet:
-    """Complement of the closed arcs of radius r around every center, with
-    its exact measure and its float endpoints."""
-    seg, idx, floor = _centers(theta, segments)
-    m = len(seg)
+class _ExactArcs:
+    """The arcs [lo_k, hi_k), lo_k = (lo_a[k] + lo_b[k]*sqrt(d)) / den and hi_k
+    alike, as numerator arrays: a slice builds the exact arcs it holds."""
+
+    def __init__(self, lo_a, lo_b, hi_a, hi_b, den: int, d: int):
+        self.numerators, self.den, self.d = (lo_a, lo_b, hi_a, hi_b), den, d
+
+    def __len__(self) -> int:
+        return len(self.numerators[0])
+
+    def __getitem__(self, k: slice) -> list:
+        lo_a, lo_b, hi_a, hi_b = (x[k] for x in self.numerators)
+        return list(zip(_quadratics(lo_a, lo_b, self.den, self.d), _quadratics(hi_a, hi_b, self.den, self.d)))
+
+
+def _good_arcs(theta: Quadratic, r: Quadratic, endpoints: Sequence, q: int) -> ArcSet:
+    """Complement of the closed arcs of radius r around the centers
+    e - j*theta, 1 <= j <= q, of every endpoint e, with its exact measure
+    and its float endpoints."""
+    if q + 1 >= _INT64_SAFE:
+        raise ResourceCapError(f"q_n = {q} is too large to list the orbit centers")
+    segments = _orbit_segments(theta, endpoints, q)
     starts = [start for start, _ in segments]
+    # numerators over one denominator: x = (a + b sqrt(d)) / den
+    den, d, ((ta, tb), (ra, rb), *sn) = _numerators([theta, r, *starts])
+    seg, idx, floor = _centers(theta, segments, (den, d, (ta, tb), sn))
+    m = len(seg)
     # the gap from each center to the next (the last to the first, plus 1)
     # is fixed by its class (segment, next segment, di, df), packed into one
     # int64 (|di| < m, |df| <= m + 1); compare each class with 2r once
@@ -314,8 +331,6 @@ def _good_arcs(theta: Quadratic, r: Quadratic, segments: list) -> ArcSet:
     good = np.flatnonzero(np.array(good_class)[inverse])
     if good.size == 0:
         return ArcSet.empty(1)
-    # numerators over one denominator: center = (ca + cb sqrt(d)) / den
-    den, d, ((ta, tb), (ra, rb), *sn) = _numerators([theta, r, *starts])
     sa, sb = zip(*sn)
     size = (m + 3) * (max(map(abs, sa + sb)) + abs(ta) + abs(tb) + abs(ra) + abs(rb) + den)
     dtype = np.int64 if size < _INT64_SAFE else object
@@ -330,20 +345,17 @@ def _good_arcs(theta: Quadratic, r: Quadratic, segments: list) -> ArcSet:
     if good[-1] == m - 1:
         # the gap across 0: [c_last + r, c_first + 1 - r), one turn back to
         # the front if it lies past 1, split at 0 if it lies across it
-        (lo,) = _quadratics(lo_a[-1:], lo_b[-1:], den, d)
-        (hi,) = _quadratics(hi_a[-1:], hi_b[-1:], den, d)
         turn = np.array([-den], dtype=dtype)
-        if lo >= 1:
+        if _exact_sign(int(lo_a[-1]) - den, int(lo_b[-1]), d) >= 0:
             lo_a, hi_a = (np.concatenate([x[-1:] + turn, x[:-1]]) for x in (lo_a, hi_a))
             lo_b, hi_b = (np.concatenate([x[-1:], x[:-1]]) for x in (lo_b, hi_b))
-        elif not hi <= 1:
+        elif _exact_sign(int(hi_a[-1]) - den, int(hi_b[-1]), d) > 0:
             zero = np.zeros(1, dtype=dtype)
             lo_a, lo_b = np.concatenate([zero, lo_a]), np.concatenate([zero, lo_b])
             hi_a = np.concatenate([hi_a[-1:] + turn, hi_a[:-1], -turn])
             hi_b = np.concatenate([hi_b[-1:], hi_b[:-1], zero])
-    los, his = _quadratics(lo_a, lo_b, den, d), _quadratics(hi_a, hi_b, den, d)
-    floats = (_endpoint_floats(lo_a, lo_b, den, d, los), _endpoint_floats(hi_a, hi_b, den, d, his))
-    return ArcSet._from_normal_form(list(zip(los, his)), 1, measure, floats=floats)
+    floats = (_endpoint_floats(lo_a, lo_b, den, d), _endpoint_floats(hi_a, hi_b, den, d))
+    return ArcSet._from_normal_form(_ExactArcs(lo_a, lo_b, hi_a, hi_b, den, d), 1, measure, floats=floats)
 
 
 def bad_arcs(theta, endpoints: Sequence, n: int, cf: Optional[ContinuedFraction] = None) -> ArcSet:
@@ -359,10 +371,7 @@ def bad_arcs(theta, endpoints: Sequence, n: int, cf: Optional[ContinuedFraction]
         cf = continued_fraction(theta, n + 2)
     if n + 1 >= cf.depth:
         raise ValidationError("continued fraction not deep enough for this index")
-    r = convergent_gap(theta, cf, n)
-    q = cf.q[n]
-    with _collector_paused():
-        return _good_arcs(theta, r, _orbit_segments(theta, endpoints, q)).complement()
+    return _good_arcs(theta, convergent_gap(theta, cf, n), endpoints, cf.q[n]).complement()
 
 
 @dataclass(frozen=True)
@@ -406,25 +415,13 @@ def gordon_set(
     cf = continued_fraction(theta, n + 2)
     q, q_next = cf.q[n], cf.q[n + 1]
     r = convergent_gap(theta, cf, n)
+    # Sturmian: the orbits of the endpoints 1 - theta and 1 share q - 1
+    # centers, and together they are the one orbit {-j*theta : 1 <= j <= q + 1}
+    good = _good_arcs(theta, r, _mode_arc(theta, mode, interval), q)
     if mode == "sturmian":
-        if interval is not None:
-            raise ValidationError("sturmian mode fixes the coding arc; drop the interval")
-        # the orbits of the endpoints 1 - theta and 0 share q - 1 centers:
-        # together they are the one orbit {-j*theta : 1 <= j <= q + 1}
-        endpoints = (1 - theta, 0)
-        bound = 1 - 2 * (q + 1) * r
-        kind = "sturmian"
-    elif mode == "coding":
-        if interval is None:
-            raise ValidationError("coding mode needs the arc endpoints")
-        coding_arc(*interval)  # the arc verify_membership would read
-        endpoints = interval
-        bound = 1 - Fraction(4 * q, q_next)
-        kind = "rotation-coding"
+        bound, kind = 1 - 2 * (q + 1) * r, "sturmian"
     else:
-        raise ValidationError(f"mode must be one of {MODES}")
-    with _collector_paused():
-        good = _good_arcs(theta, r, _orbit_segments(theta, endpoints, q))
+        bound, kind = 1 - Fraction(4 * q, q_next), "rotation-coding"
     applicable = q % 2 == 0
     if not applicable:
         warnings.warn(
@@ -461,14 +458,7 @@ def verify_membership(
     q = cf.q[n]
     if q % 2:
         raise ValidationError("repetition length q_n must be even for the Gordon route")
-    if mode == "sturmian":
-        coding = sturmian_coding(theta, beta)
-    elif mode == "coding":
-        if interval is None:
-            raise ValidationError("coding mode needs the arc endpoints")
-        coding = RotationCoding(theta, beta, interval[0], interval[1])
-    else:
-        raise ValidationError(f"mode must be one of {MODES}")
+    coding = RotationCoding(theta, beta, *_mode_arc(exact(theta), mode, interval))
     window = coding.window(1 - q, 2 * q)
     return check_three_block(window, q)
 

@@ -396,6 +396,13 @@ def test_out_of_memory_is_resource_exit(capsys, monkeypatch):
     assert err.count("\n") == 1 and "64.0 GiB" in err
 
 
+def test_gordon_convergent_past_int64_is_resource_exit(capsys):
+    # q_3 = 24,999,999,999,999,999,997 centres per orbit: no array holds them
+    code, out, err = run_cli(capsys, "gordon", "--theta", "0.24999999999999999999", "--n", "3")
+    assert (code, out) == (cli.EXIT_RESOURCE, "")
+    assert err.count("\n") == 1 and "q_n = 24999999999999999997" in err
+
+
 def test_installed_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cmvsubshift.cli", "cf", "--theta", "golden", "--depth", "6"],

@@ -1,5 +1,6 @@
 """Gordon phase sets: bad arcs, measure bounds, membership, golden asymptotics."""
 
+import json
 import math
 import os
 import subprocess
@@ -10,11 +11,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from cmvsubshift import cli
 from cmvsubshift import gordon as gordon_module
 from cmvsubshift.errors import ValidationError
 from cmvsubshift.gordon import (
     _endpoint_floats,
     _orbit_segments,
+    _quadratics,
     _round_numerators,
     bad_arcs,
     convergent_gap,
@@ -173,6 +176,18 @@ def test_mode_validation():
         gordon_set(GOLDEN_MEAN, 9, mode="coding")
     with pytest.raises(ValidationError):
         gordon_set(GOLDEN_MEAN, 9, mode="banded")
+    # verify_membership resolves (mode, interval) the same way
+    beta = Fraction(1, 3)
+    with pytest.raises(ValidationError, match="drop the interval"):
+        verify_membership(GOLDEN_MEAN, beta, 9, mode="sturmian", interval=(0, Fraction(1, 2)))
+    with pytest.raises(ValidationError):
+        verify_membership(GOLDEN_MEAN, beta, 9, mode="coding")
+    with pytest.raises(ValidationError):
+        verify_membership(GOLDEN_MEAN, beta, 9, mode="banded")
+    # the Sturmian coding is the rotation coding of [1 - theta, 1)
+    for beta in (Fraction(1, 3), Fraction(5, 7), 1 - 3 * GOLDEN_MEAN):
+        sturmian = verify_membership(GOLDEN_MEAN, beta, 9)
+        assert sturmian == verify_membership(GOLDEN_MEAN, beta, 9, "coding", (1 - GOLDEN_MEAN, 1))
 
 
 def test_monte_carlo_measure_sanity():
@@ -437,8 +452,11 @@ def test_endpoint_floats_equal_the_rounded_exact_endpoints(monkeypatch):
     assert coded >= 10 and across >= 3
     # on every int64 set above, each float came from the arrays
     assert rounded and all(certified.all() for certified in rounded)
-    # the 55-digit decimal takes object arrays: every float from its exact value
+    # a rational endpoint is one int division, on int64 numerators (ten
+    # digits) as on the object arrays of the 55-digit decimal
     rounded.clear()
+    for n in (9, 16, 24):
+        assert_floats_are_rounded_exact_endpoints(gordon_set(Fraction(6180339887, 10**10), n).arcs)
     assert_floats_are_rounded_exact_endpoints(gordon_set(parse_theta(GOLDEN_55), 13).arcs)
     assert not rounded
 
@@ -470,7 +488,7 @@ def test_round_numerators_falls_back_next_to_a_midpoint():
         a, b = np.array([a_k]), np.array([b_k])
         assert not _round_numerators(a, b, den, d)[1][0], (a_k, b_k, den, d)
         value = Quadratic(Fraction(a_k, den), Fraction(b_k, den), 5)
-        assert _endpoint_floats(a, b, den, d, [value]) == [float(value)]
+        assert _endpoint_floats(a, b, den, d) == [float(value)]
     # within 2^-80 of a midpoint but farther than the error bound: certified,
     # and correctly rounded
     for k in (7, 8):
@@ -481,7 +499,7 @@ def test_round_numerators_falls_back_next_to_a_midpoint():
             assert f[0] == float(Quadratic(a_k, b_k, 5))
     # a denominator of 2^53 or more need not be a float: every value is exact
     value = Quadratic(Fraction(1, 2**53 + 1))
-    assert _endpoint_floats(np.array([1]), np.array([0]), 2**53 + 1, 0, [value]) == [float(value)]
+    assert _endpoint_floats(np.array([1]), np.array([0]), 2**53 + 1, 0) == [float(value)]
 
 
 @pytest.mark.filterwarnings("ignore:q_.* is odd")
@@ -497,6 +515,32 @@ def test_good_set_equals_the_complement_of_the_bad_arcs():
                 ("coding", (Fraction(9, 10), Fraction(3, 10)), (Fraction(9, 10), Fraction(3, 10))),
             ):
                 good = gordon_set(theta, n, mode, interval).arcs
+                # read before and after the exact arcs are listed
+                before = (good.count, good.as_dict(), good.measure)
                 again = bad_arcs(theta, endpoints, n, cf=cf).complement()
                 assert good.arcs == again.arcs, (n, mode, interval)
                 assert good.measure == again.measure
+                assert (good.count, good.as_dict(), good.measure) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--theta", "golden", "--n", "16", "--mc-samples", "1000", "--seed", "5"],
+        ["--theta", "sqrt2-1", "--n", "8", "--mode", "coding", "--interval", "3/4", "2/5"],
+    ],
+    ids=["golden-16-mc", "coding-across-0"],
+)
+@pytest.mark.filterwarnings("ignore:q_.* is odd")
+def test_cli_builds_exact_endpoints_of_the_first_and_last_arc_only(capsys, monkeypatch, argv):
+    built = []
+
+    def counting(a, b, den, d):
+        built.append(len(a))
+        return _quadratics(a, b, den, d)
+
+    monkeypatch.setattr(gordon_module, "_quadratics", counting)
+    assert cli.main(["gordon", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["arcs"]["count"] > 100
+    # the JSON count reads the first and the last arc: two endpoints each
+    assert sum(built) <= 4

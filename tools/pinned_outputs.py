@@ -77,6 +77,9 @@ CONFIGS = [
     ("gordon-decimal-golden-24", ["gordon", "--theta", GOLDEN_55, "--n", "24"]),
     ("gordon-coding-golden-20", ["gordon", "--theta", "golden", "--n", "20", "--mode", "coding",
                                  "--interval", "0.8372", "0.2291"]),
+    # bad arcs 8e-20 wide: the float endpoints run 0.0 ... 1.0, and only the
+    # exact ones tell that no arc crosses 0
+    ("gordon-subfloat-wrap", ["gordon", "--theta", "0.25000000000000000001", "--n", "3"]),
 ]
 PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pinned_outputs.txt")
 
