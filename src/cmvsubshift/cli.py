@@ -32,6 +32,7 @@ from .spectrum import (
     approximant_lengths,
     band_arcs_from_function,
     discriminant_grid,
+    discriminant_is_even,
     discriminant_sampler,
     floquet_discriminant_residual,
     periodic_approximant,
@@ -315,14 +316,16 @@ def _write_curve(cfg: RunConfig, sample) -> None:
 def cmd_spectrum(cfg: RunConfig) -> str:
     if cfg.free:
         alphas, meta = _resolve_periodic(cfg)
+        even = discriminant_is_even(None, alphas.values)
 
         def sample(omegas):
             return discriminant_grid(np.exp(1j * omegas), alphas)
     else:
-        rule, level = _named_rule(cfg.require("rule")), cfg.require("level")
-        sample = discriminant_sampler(rule, level, cfg.verblunsky())
+        rule, level, f = _named_rule(cfg.require("rule")), cfg.require("level"), cfg.verblunsky()
+        even = discriminant_is_even(rule, (f.alpha_a, f.alpha_b))
+        sample = discriminant_sampler(rule, level, f)
         meta = {"rule": cfg.rule, "level": level, "q": approximant_lengths(rule, level)[0]}
-    arcs = band_arcs_from_function(sample, cfg.resolution)
+    arcs = band_arcs_from_function(sample, cfg.resolution, even=even)
     if cfg.curve is not None:
         _write_curve(cfg, sample)
     return _json_text({"schema": SCHEMA, "resolution": cfg.resolution, **meta, **arcs.as_dict()})

@@ -19,13 +19,23 @@ sampled in pieces of ``CHUNK`` angles, and each doubling of the scan grid
 evaluates only its new angles.  A periodic sequence given by its values
 (``discriminant_grid``, ``spectrum_arcs``, the Floquet cross-check) runs the
 per-site fold ``transfer_product_grid``.
+
+On most routes the discriminant is even in omega, and then the scan samples
+only [0, pi] (``discriminant_is_even``).  The trace route reads z only
+through cos omega, so period doubling is even for every f.  Real
+coefficients make the CMV operator real, so disc(conj z) = conj disc(z) =
+disc(z) on every route.  Grid angle k and angle res - k are omega and
+2 pi - omega, so the scan evaluates k <= res/2 and reads the rest back from
+index res - k.  Edge bisection and the ``--curve`` rows still evaluate both
+halves: 2 pi - omega and a mirrored sample differ from the direct ones in
+their last bits, and those reach the output.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -193,6 +203,18 @@ def discriminant_sampler(
     return sample
 
 
+def discriminant_is_even(rule: Optional[SubstitutionRule], coefficients: Iterable) -> bool:
+    """Whether disc(e^{-i omega}) = disc(e^{i omega}), so that a band scan may
+    sample [0, pi] only.
+
+    True for period doubling with any f, whose trace route reads only
+    cos omega, and on every route when all coefficients are real: the CMV
+    operator is then real and disc(conj z) = conj disc(z).  ``rule`` is None
+    for a sequence given by its values.
+    """
+    return rule == PERIOD_DOUBLING or all(complex(c).imag == 0.0 for c in coefficients)
+
+
 # ---------------------------------------------------------------------------
 # band arcs
 # ---------------------------------------------------------------------------
@@ -231,6 +253,7 @@ def _bisect_band_edges(
 def band_arcs_from_function(
     disc_fn: Callable[[np.ndarray], np.ndarray],
     resolution: int = DEFAULT_RESOLUTION,
+    even: bool = False,
 ) -> ArcSet:
     """Band arcs {omega : |disc(e^{i omega})| <= 2} for a sampled discriminant.
 
@@ -239,6 +262,15 @@ def band_arcs_from_function(
     cheap tangency fallback); each doubling evaluates only the new angles,
     as halving the step is exact and the old ones are the even angles of the
     finer grid, bit for bit.  Then every edge is bisected to ``EDGE_ANGLE_TOL``.
+
+    With ``even`` (see ``discriminant_is_even``) each grid is evaluated only
+    at the indices k <= res/2, and index k > res/2 takes the sample of
+    res - k: the angles k h and (res - k) h are omega and 2 pi - omega.  The
+    new angles of a doubling are odd multiples of the finer step, and so are
+    their mirrors, so each grid mirrors onto itself at any resolution, odd
+    ones included.  A mirrored sample differs from a direct one in its last
+    bits; only which side of |disc| = 2 it falls on is kept.  Bisection runs
+    on both halves, since 2 pi - omega is not the float mirror of omega.
     """
     if resolution < 8:
         raise ValidationError("resolution too small to scan bands")
@@ -246,8 +278,18 @@ def band_arcs_from_function(
     def inside(omegas: np.ndarray) -> np.ndarray:
         return np.abs(disc_fn(omegas)) <= 2.0
 
+    def scan(ks: np.ndarray, res: int) -> np.ndarray:
+        """inside() at the angles ks * TAU / res; ks ascends and is closed
+        under k -> res - k (mod res)."""
+        if not even:
+            return inside(ks * (TAU / res))
+        n = int(np.searchsorted(ks, res // 2, side="right"))
+        half = inside(ks[:n] * (TAU / res))
+        lo = 1 if ks[0] == 0 else 0  # angle 0 is its own mirror
+        return np.concatenate([half, half[lo : lo + len(ks) - n][::-1]])
+
     res = int(resolution)
-    mask = inside(np.arange(res) * (TAU / res))
+    mask = scan(np.arange(res), res)
     prev_count = -1
     while True:
         starts, ends = _cyclic_runs(mask)
@@ -256,7 +298,7 @@ def band_arcs_from_function(
             break
         prev_count = count
         res *= 2
-        odd = inside(np.arange(1, res, 2) * (TAU / res))
+        odd = scan(np.arange(1, res, 2), res)
         mask = np.stack([mask, odd], axis=1).ravel()  # interleave: old angles are the even ones
 
     if mask.all():
@@ -273,7 +315,9 @@ def band_arcs_from_function(
 def spectrum_arcs(alphas: PeriodicAlphas, resolution: int = DEFAULT_RESOLUTION) -> ArcSet:
     """Band arcs of a periodic coefficient sequence (per-site fold)."""
     return band_arcs_from_function(
-        lambda omegas: discriminant_grid(np.exp(1j * omegas), alphas), resolution
+        lambda omegas: discriminant_grid(np.exp(1j * omegas), alphas),
+        resolution,
+        even=discriminant_is_even(None, alphas.values),
     )
 
 
@@ -281,7 +325,9 @@ def period_doubling_arcs(
     level: int, f: VerblunskyMap, resolution: int = DEFAULT_RESOLUTION
 ) -> ArcSet:
     """Band arcs of the level-n period-doubling approximant (trace route)."""
-    return band_arcs_from_function(discriminant_sampler(PERIOD_DOUBLING, level, f), resolution)
+    return band_arcs_from_function(
+        discriminant_sampler(PERIOD_DOUBLING, level, f), resolution, even=True
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,30 @@ def test_spectrum_count_joins_the_band_across_zero(capsys):
     assert doc["count"] == 8
 
 
+@pytest.mark.parametrize(
+    "argv, even",
+    [
+        (["--rule", "period-doubling", "--level", "6", "--f-a", "0.25+0.1j", "--f-b=-0.2j"], True),
+        (["--rule", "thue-morse", "--level", "6", "--f-a", "0.3", "--f-b=-0.3"], True),
+        (["--free", "--period", "6"], True),
+        (["--rule", "thue-morse", "--level", "6", "--f-a", "0.25+0.1j", "--f-b=-0.2j"], False),
+    ],
+    ids=["pd-complex", "tm-real", "free", "tm-complex"],
+)
+def test_spectrum_scans_half_the_circle_on_even_routes(capsys, monkeypatch, argv, even):
+    passed = []
+    scan = cli.band_arcs_from_function
+
+    def recorded(disc_fn, resolution, even=False):
+        passed.append(even)
+        return scan(disc_fn, resolution, even=even)
+
+    monkeypatch.setattr(cli, "band_arcs_from_function", recorded)
+    code, _, err = run_cli(capsys, "spectrum", "--resolution", "1024", *argv)
+    assert code == 0, err
+    assert passed == [even]
+
+
 def test_gordon_count_joins_the_arc_across_zero(capsys):
     code, out, _ = run_cli(
         capsys, "gordon", "--theta", "sqrt2-1", "--n", "6", "--mode", "coding",

@@ -11,9 +11,12 @@ from cmvsubshift.spectrum import (
     FloquetOperator,
     PeriodicAlphas,
     _cyclic_runs,
+    band_arcs_from_function,
     build_floquet,
     discriminant,
     discriminant_grid,
+    discriminant_is_even,
+    discriminant_sampler,
     floquet_discriminant_residual,
     period_doubling_arcs,
     periodic_approximant,
@@ -21,7 +24,7 @@ from cmvsubshift.spectrum import (
 )
 from cmvsubshift.tracemap import trace_bound_check, trace_orbit
 from cmvsubshift.transfer import VerblunskyMap, transfer_product, unit_point
-from cmvsubshift.words import FIBONACCI, PERIOD_DOUBLING
+from cmvsubshift.words import FIBONACCI, PERIOD_DOUBLING, THUE_MORSE
 from reference import angle_mismatch, cyclic_runs_by_walking
 
 TAU = 2 * math.pi
@@ -238,3 +241,54 @@ def test_trace_bound_connection():
         z = unit_point(om)
         assert abs(trace_orbit(z, f, 8).trace_a_at(8)) <= 2 + 1e-6
         assert trace_bound_check(z, f, 7).ok
+
+
+# first complex draw of the benchmark's pd10 pool, and first real draws of its
+# generic-tm6, generic-tm7, generic-fib7 and generic-fib10 pools
+PD_COMPLEX_DRAW = VerblunskyMap(0.022228 - 0.101427j, -0.110942 - 0.012698j)
+REAL_DRAWS = [
+    (THUE_MORSE, 6, VerblunskyMap(0.130306, -0.481518)),
+    (THUE_MORSE, 7, VerblunskyMap(0.492858, -0.265565)),
+    (FIBONACCI, 7, VerblunskyMap(-0.456549, -0.146835)),
+    (FIBONACCI, 10, VerblunskyMap(-0.454683, -0.578871)),
+]
+EVEN_CASES = [
+    *((PERIOD_DOUBLING, level, f) for level in range(4, 11)
+      for f in (VerblunskyMap(0.3, -0.3), PD_COMPLEX_DRAW)),
+    *REAL_DRAWS,
+]
+
+
+@pytest.mark.parametrize("resolution", [8, 9, 1001, 4096])
+def test_half_circle_scan_matches_full_circle_scan(resolution):
+    # mirrored samples differ from direct ones in their last bits; no grid
+    # point here lies within rounding of |disc| = 2, so the arcs agree exactly
+    for rule, level, f in EVEN_CASES:
+        assert discriminant_is_even(rule, (f.alpha_a, f.alpha_b))
+        sample = discriminant_sampler(rule, level, f)
+        half = band_arcs_from_function(sample, resolution, even=True)
+        full = band_arcs_from_function(sample, resolution, even=False)
+        assert half.arcs == full.arcs and half.measure == full.measure, (rule, level, f)
+
+
+@pytest.mark.parametrize("resolution", [8, 9, 1001])
+def test_half_circle_scan_samples_only_zero_to_pi(resolution):
+    # level 2 has four wide bands: every resolution here doubles at least once
+    calls = []
+    sample = discriminant_sampler(PERIOD_DOUBLING, 2, VerblunskyMap(0.3, -0.3))
+
+    def recorded(omegas):
+        calls.append(np.array(omegas))
+        return sample(omegas)
+
+    band_arcs_from_function(recorded, resolution, even=True)
+    assert len(calls[0]) == resolution // 2 + 1 and calls[0][-1] <= math.pi
+    assert len(calls[1]) == (resolution + 1) // 2 and calls[1][-1] <= math.pi
+
+
+def test_discriminant_is_even_by_route():
+    assert discriminant_is_even(PERIOD_DOUBLING, (0.25 + 0.1j, -0.2j))
+    assert discriminant_is_even(THUE_MORSE, (0.3, -0.3))
+    assert discriminant_is_even(None, (0j, 0.5, -0.25 - 0.0j))
+    assert not discriminant_is_even(THUE_MORSE, (0.25 + 0.1j, -0.2j))
+    assert not discriminant_is_even(None, (0.5, 0.1j))

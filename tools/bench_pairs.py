@@ -24,7 +24,10 @@ prints ``raw_batch_s`` (the unscaled job time) and ``reference_median_s``
 run's ``.perfbench_out/result-*.json``, so a move of ``batch_s`` can be told
 from a move of its scale.  ``--out`` writes every run and the summaries as
 JSON; when the file exists and holds the same two revisions, the new runs
-are added to it, so one file can hold the runs of several seeds.
+are added to it, so one file can hold the runs of several seeds.  Each side
+also records ``src_sha256``, a digest of the paths and bytes of its
+``src/`` files, so the file names the code it measured even when a side is
+a working tree; runs are only added to a file whose digests match.
 The script only reads the checkout it is run from; everything it
 writes goes to DIR (each side's ``.perfbench_out/`` included) and to
 ``--out``.
@@ -33,6 +36,7 @@ writes goes to DIR (each side's ``.perfbench_out/`` included) and to
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -69,6 +73,21 @@ def export(rev: str, path: str) -> str:
         with tarfile.open(fileobj=archive) as tar:
             tar.extractall(path, filter="data")
     return sha
+
+
+def src_digest(checkout: str) -> str:
+    """SHA-256 over the relative path and bytes of every file under src/,
+    in path order; byte-code caches are left out."""
+    digest = hashlib.sha256()
+    root = os.path.join(checkout, "src")
+    for folder, dirs, files in os.walk(root):
+        dirs[:] = sorted(d for d in dirs if d != "__pycache__")
+        for name in sorted(files):
+            path = os.path.join(folder, name)
+            digest.update(os.path.relpath(path, root).encode() + b"\0")
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: bool) -> dict:
@@ -142,17 +161,14 @@ def main(argv=None) -> int:
         parser.error(f"{args.workdir} exists; give a new directory")
 
     checkouts = {side: os.path.join(os.path.abspath(args.workdir), side) for side in SIDES}
-    report = {
-        "base": {"rev": args.base, "sha": export(args.base, checkouts["base"])},
-        "head": {"rev": args.head, "sha": export(args.head, checkouts["head"])},
-        "python": sys.version.split()[0],
-        "cpus": os.cpu_count(),
-        "runs": [],
-    }
+    report = {}
+    for side, rev in zip(SIDES, (args.base, args.head)):
+        report[side] = {"rev": rev, "sha": export(rev, checkouts[side]), "src_sha256": src_digest(checkouts[side])}
+    report.update(python=sys.version.split()[0], cpus=os.cpu_count(), runs=[])
     if args.out and os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             earlier = json.load(fh)
-        if (earlier["base"]["sha"], earlier["head"]["sha"]) != (report["base"]["sha"], report["head"]["sha"]):
+        if any(earlier[side].get(key) != report[side][key] for side in SIDES for key in ("sha", "src_sha256")):
             raise SystemExit(f"{args.out} compares other revisions; give a new file")
         report["runs"] = earlier["runs"]
     runs = []

@@ -50,6 +50,11 @@ CONFIGS = [
                             "--resolution", "2048", "--curve"]),
     ("spectrum-free", ["spectrum", "--free", "--period", "6", "--resolution", "1024", "--curve"]),
     ("spectrum-tm8-real", ["spectrum", "--rule", "thue-morse", "--level", "8", "--f-a", "0.3", "--f-b=-0.3"]),
+    # odd resolutions: angle k of the half-circle scan shares its sample with res - k
+    ("spectrum-pd8-odd-curve", ["spectrum", *PD, "--level", "8", "--resolution", "1001", "--curve"]),
+    ("spectrum-pd14", ["spectrum", *PD, "--level", "14"]),
+    ("spectrum-tm7-real-odd", ["spectrum", "--rule", "thue-morse", "--level", "7", "--f-a", "0.2",
+                               "--f-b=-0.2", "--resolution", "1001"]),
     ("trace-escape", ["trace", "--z", "1", "--f-a", "0.5", "--f-b=-0.5", "--levels", "14"]),
     ("trace-band", ["trace", "--z", "0.6+0.8j", *COMPLEX_F, "--levels", "10"]),
     ("trace-near-circle", ["trace", "--z", "1.000000009j", "--f-a", "0.5", "--f-b=-0.5"]),
