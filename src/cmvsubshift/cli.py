@@ -8,7 +8,7 @@ orbits), or versioned JSON, and identical config + seed reproduces them
 byte for byte.
 
 Exit codes: 0 success, 2 usage or validation, 3 numeric assertion,
-4 resource cap.
+4 resource cap or out of memory.
 """
 
 import argparse
@@ -29,13 +29,11 @@ from .spectrum import (
     DEFAULT_RESOLUTION,
     TAU,
     PeriodicAlphas,
-    approximant_lengths,
-    band_arcs_from_function,
-    discriminant_grid,
-    discriminant_is_even,
-    discriminant_sampler,
+    approximant_discriminant,
+    band_arcs,
     floquet_discriminant_residual,
     periodic_approximant,
+    periodic_discriminant,
 )
 from .tracemap import trace_orbit
 from .transfer import VerblunskyMap
@@ -316,19 +314,16 @@ def _write_curve(cfg: RunConfig, sample) -> None:
 def cmd_spectrum(cfg: RunConfig) -> str:
     if cfg.free:
         alphas, meta = _resolve_periodic(cfg)
-        even = discriminant_is_even(None, alphas.values)
-
-        def sample(omegas):
-            return discriminant_grid(np.exp(1j * omegas), alphas)
+        disc = periodic_discriminant(alphas)
     else:
-        rule, level, f = _named_rule(cfg.require("rule")), cfg.require("level"), cfg.verblunsky()
-        even = discriminant_is_even(rule, (f.alpha_a, f.alpha_b))
-        sample = discriminant_sampler(rule, level, f)
-        meta = {"rule": cfg.rule, "level": level, "q": approximant_lengths(rule, level)[0]}
-    arcs = band_arcs_from_function(sample, cfg.resolution, even=even)
+        rule, level = _named_rule(cfg.require("rule")), cfg.require("level")
+        disc = approximant_discriminant(rule, level, cfg.verblunsky())
+        meta = {"rule": cfg.rule, "level": level}
+    arcs = band_arcs(disc, cfg.resolution)
     if cfg.curve is not None:
-        _write_curve(cfg, sample)
-    return _json_text({"schema": SCHEMA, "resolution": cfg.resolution, **meta, **arcs.as_dict()})
+        _write_curve(cfg, disc.sample)
+    payload = {"schema": SCHEMA, "resolution": cfg.resolution, **meta, "q": disc.period}
+    return _json_text({**payload, **arcs.as_dict()})
 
 
 def cmd_trace(cfg: RunConfig) -> str:
@@ -402,6 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", help="write the result here instead of stdout")
     common.add_argument("--seed", type=int, help="seed for any sampling (default 0)")
 
+    source = argparse.ArgumentParser(add_help=False)  # the coefficients of spectrum and floquet-check
+    source.add_argument("--rule", help="named substitution rule")
+    source.add_argument("--level", type=int, help="approximant level")
+    source.add_argument("--f-a", help="coefficient at letter a")
+    source.add_argument("--f-b", help="coefficient at letter b")
+    source.add_argument("--free", action="store_const", const=True, help="all-zero coefficients")
+    source.add_argument("--period", type=int, help="period for --free (even, >= 4)")
+
     parser = argparse.ArgumentParser(
         prog="cmvsubshift",
         description="Spectral experiments for CMV operators over subshifts.",
@@ -422,13 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf.add_argument("--theta", help="rotation number")
     p_cf.add_argument("--depth", type=int, help="number of quotients to produce")
 
-    p_spec = sub.add_parser("spectrum", parents=[common], help="band arcs of a periodic approximant")
-    p_spec.add_argument("--rule", help="named substitution rule")
-    p_spec.add_argument("--level", type=int, help="approximant level")
-    p_spec.add_argument("--f-a", help="coefficient at letter a")
-    p_spec.add_argument("--f-b", help="coefficient at letter b")
-    p_spec.add_argument("--free", action="store_const", const=True, help="all-zero coefficients")
-    p_spec.add_argument("--period", type=int, help="period for --free (even, >= 4)")
+    p_spec = sub.add_parser("spectrum", parents=[common, source], help="band arcs of a periodic approximant")
     p_spec.add_argument("--resolution", type=int, help="angles in the initial scan grid")
     p_spec.add_argument("--curve", help="also write discriminant samples (CSV) here")
 
@@ -449,13 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gordon.add_argument("--interval", nargs=2, metavar=("LO", "HI"), help="arc for coding mode")
     p_gordon.add_argument("--mc-samples", type=int, help="Monte-Carlo membership samples")
 
-    p_flo = sub.add_parser("floquet-check", parents=[common], help="Floquet vs discriminant residuals")
-    p_flo.add_argument("--rule", help="named substitution rule")
-    p_flo.add_argument("--level", type=int, help="approximant level")
-    p_flo.add_argument("--f-a", help="coefficient at letter a")
-    p_flo.add_argument("--f-b", help="coefficient at letter b")
-    p_flo.add_argument("--free", action="store_const", const=True, help="all-zero coefficients")
-    p_flo.add_argument("--period", type=int, help="period for --free (even, >= 4)")
+    p_flo = sub.add_parser("floquet-check", parents=[common, source], help="Floquet vs discriminant residuals")
     p_flo.add_argument("--phi-count", type=int, help="evenly spaced skew angles (default 16)")
 
     return parser

@@ -12,16 +12,16 @@ the general eigensolver runs only where that check fails.
 
 Every discriminant comes from the pair-form product of ``transfer`` and is
 real by construction; its one check is the determinant drift in
-``pair_trace``.  ``discriminant_sampler`` is the one place a band-scan route
-is chosen: period-doubling approximants run the trace recursion, every other
-rule the substitution blocks of ``substitution_discriminant``; both are
-sampled in pieces of ``CHUNK`` angles, and each doubling of the scan grid
-evaluates only its new angles.  A periodic sequence given by its values
-(``discriminant_grid``, ``spectrum_arcs``, the Floquet cross-check) runs the
-per-site fold ``transfer_product_grid``.
+``pair_trace``.  ``band_arcs`` scans a ``Discriminant``: sampler, period q
+and evenness, decided once where the source is built.
+``approximant_discriminant`` is the one place a band-scan route is chosen:
+period-doubling approximants run the trace recursion, every other rule the
+substitution blocks of ``substitution_discriminant``; both are sampled in
+pieces of ``CHUNK`` angles.  A periodic sequence given by its values
+(``periodic_discriminant``, the Floquet cross-check) runs the per-site fold.
 
 On most routes the discriminant is even in omega, and then the scan samples
-only [0, pi] (``discriminant_is_even``).  The trace route reads z only
+only [0, pi] (``Discriminant.even``).  The trace route reads z only
 through cos omega, so period doubling is even for every f.  Real
 coefficients make the CMV operator real, so disc(conj z) = conj disc(z) =
 disc(z) on every route.  Grid angle k and angle res - k are omega and
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -115,11 +115,6 @@ def discriminant_grid(z: np.ndarray, alphas: PeriodicAlphas) -> np.ndarray:
     return pair_trace(transfer_product_grid(alphas.alpha, z, 1, q), q)
 
 
-def discriminant(z: complex, alphas: PeriodicAlphas) -> float:
-    """Trace of the one-period transfer product at one point: a length-1 grid."""
-    return float(discriminant_grid(np.array([complex(z)]), alphas)[0])
-
-
 def approximant_lengths(rule: SubstitutionRule, level: int):
     """(period, parity) of the level-n approximant without building its word: q = |S^n(a)|,
     doubled when odd as in ``periodic_approximant``, and parity[m][c] = |S^m(c)| mod 2."""
@@ -177,10 +172,20 @@ def substitution_discriminant(
     return sample
 
 
-def discriminant_sampler(
-    rule: SubstitutionRule, level: int, f: VerblunskyMap
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Discriminant of the level-n approximant as a function of angles.
+@dataclass(frozen=True)
+class Discriminant:
+    """What a band scan reads from its source: ``sample`` maps angles to real
+    discriminant samples of a sequence of period ``period``, and ``even`` says
+    disc(e^{-i omega}) = disc(e^{i omega}), so that the scan may sample
+    [0, pi] only."""
+
+    sample: Callable[[np.ndarray], np.ndarray]
+    period: int
+    even: bool
+
+
+def approximant_discriminant(rule: SubstitutionRule, level: int, f: VerblunskyMap) -> Discriminant:
+    """Discriminant of the level-n approximant, without building its word.
 
     This is where the route is chosen.  Period doubling runs the trace
     recursion from cos omega (real arithmetic, O(level) per angle); every
@@ -200,19 +205,18 @@ def discriminant_sampler(
             out[k : k + CHUNK] = piece(omegas[k : k + CHUNK])
         return out
 
-    return sample
+    even = rule == PERIOD_DOUBLING or all(complex(c).imag == 0.0 for c in (f.alpha_a, f.alpha_b))
+    return Discriminant(sample, approximant_lengths(rule, level)[0], even)
 
 
-def discriminant_is_even(rule: Optional[SubstitutionRule], coefficients: Iterable) -> bool:
-    """Whether disc(e^{-i omega}) = disc(e^{i omega}), so that a band scan may
-    sample [0, pi] only.
+def periodic_discriminant(alphas: PeriodicAlphas) -> Discriminant:
+    """Discriminant of a sequence given by its values (per-site fold); even
+    when every value is real."""
 
-    True for period doubling with any f, whose trace route reads only
-    cos omega, and on every route when all coefficients are real: the CMV
-    operator is then real and disc(conj z) = conj disc(z).  ``rule`` is None
-    for a sequence given by its values.
-    """
-    return rule == PERIOD_DOUBLING or all(complex(c).imag == 0.0 for c in coefficients)
+    def sample(omegas: np.ndarray) -> np.ndarray:
+        return discriminant_grid(np.exp(1j * omegas), alphas)
+
+    return Discriminant(sample, alphas.period, all(v.imag == 0.0 for v in alphas.values))
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +262,14 @@ def band_arcs_from_function(
     """Band arcs {omega : |disc(e^{i omega})| <= 2} for a sampled discriminant.
 
     ``disc_fn`` maps angles to real discriminant samples.  The grid doubles
-    until the number of bands stabilizes or it reaches ``MAX_RESOLUTION`` (a
-    cheap tangency fallback); each doubling evaluates only the new angles,
-    as halving the step is exact and the old ones are the even angles of the
-    finer grid, bit for bit.  Then every edge is bisected to ``EDGE_ANGLE_TOL``.
+    until a nonzero band count repeats or it reaches ``MAX_RESOLUTION`` (a
+    cheap tangency fallback), so a first grid in no band keeps doubling; one
+    in a band everywhere stops at once.  Each doubling evaluates only the new
+    angles, as halving the step is exact and the old ones are the even angles
+    of the finer grid, bit for bit.  Then every edge is bisected to
+    ``EDGE_ANGLE_TOL``.
 
-    With ``even`` (see ``discriminant_is_even``) each grid is evaluated only
+    With ``even`` (``Discriminant.even``) each grid is evaluated only
     at the indices k <= res/2, and index k > res/2 takes the sample of
     res - k: the angles k h and (res - k) h are omega and 2 pi - omega.  The
     new angles of a doubling are odd multiples of the finer step, and so are
@@ -294,7 +300,7 @@ def band_arcs_from_function(
     while True:
         starts, ends = _cyclic_runs(mask)
         count = len(starts)
-        if (count == prev_count and count > 0) or res >= MAX_RESOLUTION or mask.all() or not mask.any():
+        if (count == prev_count and count > 0) or res >= MAX_RESOLUTION or mask.all():
             break
         prev_count = count
         res *= 2
@@ -312,22 +318,9 @@ def band_arcs_from_function(
     return ArcSet(zip(left, np.where(right < left, right + TAU, right)), TAU)
 
 
-def spectrum_arcs(alphas: PeriodicAlphas, resolution: int = DEFAULT_RESOLUTION) -> ArcSet:
-    """Band arcs of a periodic coefficient sequence (per-site fold)."""
-    return band_arcs_from_function(
-        lambda omegas: discriminant_grid(np.exp(1j * omegas), alphas),
-        resolution,
-        even=discriminant_is_even(None, alphas.values),
-    )
-
-
-def period_doubling_arcs(
-    level: int, f: VerblunskyMap, resolution: int = DEFAULT_RESOLUTION
-) -> ArcSet:
-    """Band arcs of the level-n period-doubling approximant (trace route)."""
-    return band_arcs_from_function(
-        discriminant_sampler(PERIOD_DOUBLING, level, f), resolution, even=True
-    )
+def band_arcs(disc: Discriminant, resolution: int = DEFAULT_RESOLUTION) -> ArcSet:
+    """Band arcs of a discriminant source: the one wiring of source to scan."""
+    return band_arcs_from_function(disc.sample, resolution, even=disc.even)
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def full_grid_band_arcs(disc_fn, resolution):
         mask = inside(np.arange(res) * (tau / res))
         starts, ends = cyclic_runs_by_walking(mask)
         count = len(starts)
-        if (count == prev_count and count > 0) or res >= MAX_RESOLUTION or mask.all() or not mask.any():
+        if (count == prev_count and count > 0) or res >= MAX_RESOLUTION or mask.all():
             break
         prev_count = count
         res *= 2

@@ -14,11 +14,12 @@ from cmvsubshift.gordon import golden_limits, gordon_set, monte_carlo_measure, v
 from cmvsubshift.quadratic import GOLDEN_MEAN
 from cmvsubshift.spectrum import (
     PeriodicAlphas,
+    approximant_discriminant,
+    band_arcs,
     discriminant_grid,
     floquet_discriminant_residual,
-    period_doubling_arcs,
     periodic_approximant,
-    spectrum_arcs,
+    periodic_discriminant,
 )
 from cmvsubshift.tracemap import coupling_constant, trace_orbit, trace_bound_check
 from cmvsubshift.transfer import VerblunskyMap, gordon_inequality_check
@@ -160,7 +161,7 @@ def test_criterion_05_band_samples_respect_trace_bound():
     rng = np.random.default_rng(505)
     t0 = time.perf_counter()
     f = VerblunskyMap(0.3, -0.3)
-    arcs = period_doubling_arcs(12, f)
+    arcs = band_arcs(approximant_discriminant(PERIOD_DOUBLING, 12, f))
     angles = arcs.sample_interior(200, 1e-9, rng)
     violations = 0
     worst = 0.0
@@ -179,7 +180,9 @@ def test_criterion_06_band_measures_shrink():
     t0 = time.perf_counter()
     f = VerblunskyMap(0.3, -0.3)
     levels = (4, 6, 8, 10, 12)
-    measures = [float(period_doubling_arcs(level, f).measure) for level in levels]
+    measures = [
+        float(band_arcs(approximant_discriminant(PERIOD_DOUBLING, level, f)).measure) for level in levels
+    ]
     monotone = all(a >= b for a, b in zip(measures, measures[1:]))
     halved = measures[-1] < 0.5 * measures[0]
     elapsed = time.perf_counter() - t0
@@ -238,7 +241,7 @@ def test_criterion_09_gordon_end_to_end():
     approximant = PeriodicAlphas(
         tuple(f.alpha(c) for c in sturmian_coding(GOLDEN_MEAN, 0).window(1, q).values)
     )
-    band = spectrum_arcs(approximant)
+    band = band_arcs(periodic_discriminant(approximant))
     zs = [complex(np.exp(1j * float(w))) for w in band.sample_interior(10, 1e-9, rng)]
     holds = 0
     for beta, z in zip(phases[:10], zs):
@@ -262,7 +265,7 @@ def test_criterion_10_free_case_closed_forms():
         omegas = np.linspace(0.0, TAU, 1 << 12, endpoint=False)
         disc = discriminant_grid(np.exp(1j * omegas), alphas)
         worst = max(worst, float(np.max(np.abs(disc - 2.0 * np.cos(q * omegas / 2.0)))))
-    measure_gap = abs(float(spectrum_arcs(PeriodicAlphas((0j,) * 4)).measure) - TAU)
+    measure_gap = abs(float(band_arcs(periodic_discriminant(PeriodicAlphas((0j,) * 4))).measure) - TAU)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and measure_gap < 1e-6
     _verdict(10, ok, elapsed, 5.0,

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from cmvsubshift import cli
+from cmvsubshift import cli, spectrum
 from cmvsubshift.arcs import ArcSet
 from cmvsubshift.gordon import gordon_set, monte_carlo_measure
 from cmvsubshift.quadratic import GOLDEN_MEAN
@@ -263,13 +263,13 @@ def test_spectrum_count_joins_the_band_across_zero(capsys):
 )
 def test_spectrum_scans_half_the_circle_on_even_routes(capsys, monkeypatch, argv, even):
     passed = []
-    scan = cli.band_arcs_from_function
+    scan = spectrum.band_arcs_from_function
 
     def recorded(disc_fn, resolution, even=False):
         passed.append(even)
         return scan(disc_fn, resolution, even=even)
 
-    monkeypatch.setattr(cli, "band_arcs_from_function", recorded)
+    monkeypatch.setattr(spectrum, "band_arcs_from_function", recorded)
     code, _, err = run_cli(capsys, "spectrum", "--resolution", "1024", *argv)
     assert code == 0, err
     assert passed == [even]

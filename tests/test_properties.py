@@ -18,10 +18,10 @@ from cmvsubshift.errors import ValidationError
 from cmvsubshift.quadratic import Quadratic, exact
 from cmvsubshift.spectrum import (
     PeriodicAlphas,
+    approximant_discriminant,
     band_arcs_from_function,
     build_floquet,
-    discriminant,
-    discriminant_sampler,
+    discriminant_grid,
     periodic_approximant,
     substitution_discriminant,
 )
@@ -84,7 +84,7 @@ def test_discriminant_at_floquet_eigenvalues(values, theta):
     alphas = PeriodicAlphas(tuple(values))
     phi = unit_point(theta)
     for z0 in build_floquet(alphas, phi).eigenvalues():
-        assert abs(discriminant(z0 / abs(z0), alphas) - 2 * math.cos(theta)) < 1e-8
+        assert abs(discriminant_grid(np.array([z0 / abs(z0)]), alphas)[0] - 2 * math.cos(theta)) < 1e-8
 
 
 def random_disk_values(seed, count, radius=0.9):
@@ -149,7 +149,7 @@ small_maps = st.builds(VerblunskyMap, small_coefficients, small_coefficients)
 def test_grid_reuse_matches_full_grid_scan(rule, levels, data, f, resolution):
     # halving the step is exact, so reusing the coarse mask changes no bit
     level = data.draw(st.integers(*levels))
-    sample = discriminant_sampler(rule, level, f)
+    sample = approximant_discriminant(rule, level, f).sample
     arcs = band_arcs_from_function(sample, resolution)
     ref = full_grid_band_arcs(sample, resolution)
     assert arcs.period == ref.period and arcs.arcs == ref.arcs

@@ -11,16 +11,14 @@ from cmvsubshift.spectrum import (
     FloquetOperator,
     PeriodicAlphas,
     _cyclic_runs,
+    approximant_discriminant,
+    band_arcs,
     band_arcs_from_function,
     build_floquet,
-    discriminant,
     discriminant_grid,
-    discriminant_is_even,
-    discriminant_sampler,
     floquet_discriminant_residual,
-    period_doubling_arcs,
     periodic_approximant,
-    spectrum_arcs,
+    periodic_discriminant,
 )
 from cmvsubshift.tracemap import trace_bound_check, trace_orbit
 from cmvsubshift.transfer import VerblunskyMap, transfer_product, unit_point
@@ -29,6 +27,11 @@ from reference import angle_mismatch, cyclic_runs_by_walking
 
 TAU = 2 * math.pi
 RNG_SEED = 314159
+
+
+def discriminant_at(z, alphas):
+    """The discriminant at one point: a grid of length 1."""
+    return float(discriminant_grid(np.array([complex(z)]), alphas)[0])
 
 
 def random_alphas(rng, q, radius=0.8):
@@ -58,13 +61,13 @@ def test_periodic_approximant_reads_substitution_prefix():
 def test_discriminant_free_case_and_trace_equality():
     free = PeriodicAlphas((0.0, 0.0))
     om = 1.37
-    assert discriminant(unit_point(om), free) == pytest.approx(2 * math.cos(om), abs=1e-12)
+    assert discriminant_at(unit_point(om), free) == pytest.approx(2 * math.cos(om), abs=1e-12)
     al = PeriodicAlphas((0.5, 0.5))
     z = 1.0 + 0j
     tr = np.trace(transfer_product(al.alpha, z, 1, 2))
-    assert discriminant(z, al) == pytest.approx(tr.real, abs=1e-14)
+    assert discriminant_at(z, al) == pytest.approx(tr.real, abs=1e-14)
     with pytest.raises(ValidationError):
-        discriminant(z, PeriodicAlphas((0.1, 0.2, 0.3)))  # odd period
+        discriminant_at(z, PeriodicAlphas((0.1, 0.2, 0.3)))  # odd period
 
 
 def test_discriminant_grid_matches_scalar():
@@ -73,7 +76,7 @@ def test_discriminant_grid_matches_scalar():
     omegas = rng.uniform(0, TAU, 11)
     grid = discriminant_grid(np.exp(1j * omegas), al)
     for om, val in zip(omegas, grid):
-        assert val == pytest.approx(discriminant(unit_point(om), al), abs=1e-10)
+        assert val == pytest.approx(discriminant_at(unit_point(om), al), abs=1e-10)
 
 
 def test_constant_period_two_band_measure_closed_form():
@@ -83,7 +86,7 @@ def test_constant_period_two_band_measure_closed_form():
     # scanning can only localize to ~sqrt(eps); hence the 1e-6 tolerance.
     prev = TAU + 1
     for a in np.linspace(0.1, 0.9, 9):
-        arcs = spectrum_arcs(PeriodicAlphas((a, a)), resolution=4096)
+        arcs = band_arcs(periodic_discriminant(PeriodicAlphas((a, a))), resolution=4096)
         want = TAU - 2 * math.acos(1 - 2 * a * a)
         assert arcs.measure == pytest.approx(want, abs=1e-6)
         assert arcs.measure < prev
@@ -92,13 +95,13 @@ def test_constant_period_two_band_measure_closed_form():
 
 
 def test_free_case_band_is_the_whole_circle():
-    arcs = spectrum_arcs(PeriodicAlphas((0.0, 0.0)), resolution=1024)
+    arcs = band_arcs(periodic_discriminant(PeriodicAlphas((0.0, 0.0))), resolution=1024)
     assert arcs.is_full and arcs.measure == pytest.approx(TAU)
 
 
 def test_band_edges_are_located_precisely():
     a = 0.5
-    arcs = spectrum_arcs(PeriodicAlphas((a, a)), resolution=4096)
+    arcs = band_arcs(periodic_discriminant(PeriodicAlphas((a, a))), resolution=4096)
     # band edge at cos(omega) = 1 - 2 a^2 = 1/2, i.e. omega = pi/3
     edges = sorted(float(lo) for lo, _ in arcs.arcs)
     assert min(abs(e - math.pi / 3) for e in edges) < 1e-9
@@ -124,9 +127,9 @@ def test_cyclic_runs_match_walking_reference():
 def test_period_doubling_grid_route_matches_direct_product_route():
     f = VerblunskyMap(0.3, -0.3)
     for level in (2, 3):
-        via_recursion = period_doubling_arcs(level, f, resolution=4096)
-        via_products = spectrum_arcs(
-            periodic_approximant(PERIOD_DOUBLING, level, f), resolution=4096
+        via_recursion = band_arcs(approximant_discriminant(PERIOD_DOUBLING, level, f), resolution=4096)
+        via_products = band_arcs(
+            periodic_discriminant(periodic_approximant(PERIOD_DOUBLING, level, f)), resolution=4096
         )
         assert via_recursion.count == via_products.count
         assert via_recursion.measure == pytest.approx(via_products.measure, abs=1e-8)
@@ -143,14 +146,14 @@ def test_period_doubling_scalar_discriminant_matches_product():
         for om in rng.uniform(0, TAU, 3):
             z = unit_point(om)
             assert trace_orbit(z, f, level).trace_a_at(level) == pytest.approx(
-                discriminant(z, al), rel=1e-9, abs=1e-9
+                discriminant_at(z, al), rel=1e-9, abs=1e-9
             )
 
 
 def test_band_measures_shrink_for_period_doubling():
     f = VerblunskyMap(0.3, -0.3)
-    m4 = period_doubling_arcs(4, f).measure
-    m6 = period_doubling_arcs(6, f).measure
+    m4 = band_arcs(approximant_discriminant(PERIOD_DOUBLING, 4, f)).measure
+    m6 = band_arcs(approximant_discriminant(PERIOD_DOUBLING, 6, f)).measure
     assert m4 == pytest.approx(2.53786504, abs=1e-6)  # pinned regression values
     assert m6 == pytest.approx(1.35645115, abs=1e-6)
     assert m6 < m4
@@ -234,7 +237,7 @@ def test_trace_bound_connection():
     # points drawn from a deep approximant's bands keep consecutive trace
     # pairs within the coupling window -- spot check at level 8
     f = VerblunskyMap(0.3, -0.3)
-    arcs = period_doubling_arcs(8, f)
+    arcs = band_arcs(approximant_discriminant(PERIOD_DOUBLING, 8, f))
     rng = np.random.default_rng(RNG_SEED + 4)
     omegas = arcs.sample_interior(25, 1e-7, rng)
     for om in omegas:
@@ -264,10 +267,10 @@ def test_half_circle_scan_matches_full_circle_scan(resolution):
     # mirrored samples differ from direct ones in their last bits; no grid
     # point here lies within rounding of |disc| = 2, so the arcs agree exactly
     for rule, level, f in EVEN_CASES:
-        assert discriminant_is_even(rule, (f.alpha_a, f.alpha_b))
-        sample = discriminant_sampler(rule, level, f)
-        half = band_arcs_from_function(sample, resolution, even=True)
-        full = band_arcs_from_function(sample, resolution, even=False)
+        disc = approximant_discriminant(rule, level, f)
+        assert disc.even
+        half = band_arcs_from_function(disc.sample, resolution, even=True)
+        full = band_arcs_from_function(disc.sample, resolution, even=False)
         assert half.arcs == full.arcs and half.measure == full.measure, (rule, level, f)
 
 
@@ -275,7 +278,7 @@ def test_half_circle_scan_matches_full_circle_scan(resolution):
 def test_half_circle_scan_samples_only_zero_to_pi(resolution):
     # level 2 has four wide bands: every resolution here doubles at least once
     calls = []
-    sample = discriminant_sampler(PERIOD_DOUBLING, 2, VerblunskyMap(0.3, -0.3))
+    sample = approximant_discriminant(PERIOD_DOUBLING, 2, VerblunskyMap(0.3, -0.3)).sample
 
     def recorded(omegas):
         calls.append(np.array(omegas))
@@ -287,8 +290,38 @@ def test_half_circle_scan_samples_only_zero_to_pi(resolution):
 
 
 def test_discriminant_is_even_by_route():
-    assert discriminant_is_even(PERIOD_DOUBLING, (0.25 + 0.1j, -0.2j))
-    assert discriminant_is_even(THUE_MORSE, (0.3, -0.3))
-    assert discriminant_is_even(None, (0j, 0.5, -0.25 - 0.0j))
-    assert not discriminant_is_even(THUE_MORSE, (0.25 + 0.1j, -0.2j))
-    assert not discriminant_is_even(None, (0.5, 0.1j))
+    complex_f = VerblunskyMap(0.25 + 0.1j, -0.2j)
+    assert approximant_discriminant(PERIOD_DOUBLING, 4, complex_f).even
+    assert approximant_discriminant(THUE_MORSE, 4, VerblunskyMap(0.3, -0.3)).even
+    assert periodic_discriminant(PeriodicAlphas((0j, 0.5, -0.25 - 0.0j))).even
+    assert not approximant_discriminant(THUE_MORSE, 4, complex_f).even
+    assert not periodic_discriminant(PeriodicAlphas((0.5, 0.1j))).even
+
+
+SOURCE_CASES = [
+    (rule, level, f)
+    for rule, level in ((PERIOD_DOUBLING, 5), (THUE_MORSE, 5), (FIBONACCI, 6), (FIBONACCI, 8))
+    for f in (VerblunskyMap(0.3, -0.45), VerblunskyMap(0.25 + 0.1j, -0.2j))
+]
+
+
+@pytest.mark.parametrize("rule, level, f", SOURCE_CASES)
+def test_approximant_and_periodic_sources_agree(rule, level, f):
+    # the letter-length route and the per-site fold over the built word
+    fast = approximant_discriminant(rule, level, f)
+    fold = periodic_discriminant(periodic_approximant(rule, level, f))
+    assert fast.period == fold.period
+    if f.alpha_a.imag == 0 and f.alpha_b.imag == 0:
+        assert fast.even == fold.even
+    omegas = np.arange(1001) * (TAU / 1001)
+    np.testing.assert_allclose(fast.sample(omegas), fold.sample(omegas), rtol=1e-9, atol=1e-9)
+
+
+def test_first_grid_in_no_band_keeps_doubling():
+    # at 8 angles the level-3 grid misses all 8 bands; the scan doubles on
+    # until the count repeats instead of returning the empty set
+    disc = approximant_discriminant(PERIOD_DOUBLING, 3, VerblunskyMap(0.3, -0.3))
+    assert not (np.abs(disc.sample(np.arange(8) * (TAU / 8))) <= 2).any()
+    coarse = band_arcs(disc, 8)
+    assert coarse.arcs == band_arcs(disc, 16).arcs
+    assert coarse.as_dict()["count"] == disc.period == 8

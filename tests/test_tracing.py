@@ -4,7 +4,7 @@ function, method and Quadratic operator it wraps in the package."""
 import importlib.util
 import os
 
-import cmvsubshift.cli  # noqa: F401  (loads every module the tracer wraps)
+import cmvsubshift.cli  # loads every module the tracer wraps
 from cmvsubshift import gordon
 from cmvsubshift.quadratic import GOLDEN_MEAN, Quadratic
 
@@ -42,3 +42,22 @@ def test_tracer_installs_and_uninstalls_cleanly():
     assert metrics["arcs.complement_s"] == 0
     assert metrics["arcs.init.pieces"] == 0
     assert 0 < metrics["quadratic.compare.calls"] < 100
+
+
+def test_tracer_sees_the_period_doubling_band_scan(capsys):
+    # pd-bands' per-layer figures read these two spans; a CLI path that
+    # bypassed the wrapped scan or trace recursion would zero them silently
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cmvsubshift.cli.main([
+            "spectrum", "--rule", "period-doubling", "--level", "7", "--f-a", "0.3", "--f-b=-0.3",
+            "--resolution", "1024",
+        ])
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert code == 0 and '"q": 128' in capsys.readouterr().out
+    assert metrics["spectrum.band_scan_self_s"] > 0
+    assert metrics["tracemap.trace_a_grid.point_levels"] > 0

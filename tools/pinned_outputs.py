@@ -55,6 +55,8 @@ CONFIGS = [
     ("spectrum-pd14", ["spectrum", *PD, "--level", "14"]),
     ("spectrum-tm7-real-odd", ["spectrum", "--rule", "thue-morse", "--level", "7", "--f-a", "0.2",
                                "--f-b=-0.2", "--resolution", "1001"]),
+    # a first grid in no band: the scan doubles until it finds them
+    ("spectrum-pd3-res8", ["spectrum", *PD, "--level", "3", "--resolution", "8"]),
     ("trace-escape", ["trace", "--z", "1", "--f-a", "0.5", "--f-b=-0.5", "--levels", "14"]),
     ("trace-band", ["trace", "--z", "0.6+0.8j", *COMPLEX_F, "--levels", "10"]),
     ("trace-near-circle", ["trace", "--z", "1.000000009j", "--f-a", "0.5", "--f-b=-0.5"]),
