@@ -7,7 +7,9 @@ numeric type closed under subtraction, and all set algebra (merge, complement,
 intersection, measure) stays in that type.  Construction from sweeps sorts
 (a plain sort, exact comparisons for exact endpoints) and merges once;
 complement and intersection then work on the sorted disjoint arcs directly
-(one pass, no re-sorting).  A builder that already has the arcs in normal
+(one pass, no re-sorting).  Float sweeps held in arrays, as the band scan
+has them, go through ``from_sweeps``, the same operations on whole arrays
+with the same bits.  A builder that already has the arcs in normal
 form, as ``gordon`` has them in circle order, wraps them without any
 comparison (``_from_normal_form``), with its measure if it knows it and
 its float endpoints if it has rounded them itself; a complement carries
@@ -123,6 +125,47 @@ class ArcSet:
     @staticmethod
     def empty(period=1) -> "ArcSet":
         return ArcSet([], period)
+
+    @classmethod
+    def from_sweeps(cls, lo, hi, period: float) -> "ArcSet":
+        """``ArcSet(zip(lo, hi), period)`` for float arrays of sweeps, with
+        ``__init__``'s float operations done on whole arrays: each lo is
+        reduced mod period, a sweep past the period is split there, the
+        pieces are stably sorted on lo and merged by the running maximum of
+        hi, and the measure is summed left to right.  The arcs, the float
+        endpoints and the measure are the same bits as ``__init__``'s."""
+        if not period > 0:
+            raise ValidationError("period must be positive")
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        span = hi - lo
+        fills = span >= period
+        # like __init__, read no sweep after the first that fills the circle
+        first_full = int(np.argmax(fills)) if fills.any() else len(span)
+        bad = (span < 0) | ~np.isfinite(span)
+        if bad[: first_full + 1].any():
+            raise ValidationError("arc sweep must be non-negative and finite")
+        if first_full < len(span):
+            return cls.full(period)
+        keep = span > 0
+        lo_r = np.remainder(lo[keep], period)
+        lo_r = np.where(lo_r < period, lo_r, lo_r - period)
+        hi_r = lo_r + span[keep]
+        wraps = hi_r > period
+        at = np.arange(len(lo_r)) + np.cumsum(wraps) - wraps  # where __init__ appends each piece
+        pieces = len(lo_r) + np.count_nonzero(wraps)
+        los, his = np.zeros(pieces), np.empty(pieces)
+        los[at], his[at] = lo_r, np.where(wraps, period, hi_r)
+        his[at[wraps] + 1] = hi_r[wraps] - period  # the piece [0, hi - period) follows its sweep
+        order = np.argsort(los, kind="stable")
+        los, his = los[order], np.maximum.accumulate(his[order])
+        starts = np.ones(len(los), dtype=bool)
+        starts[1:] = los[1:] > his[:-1]  # a piece past every hi so far opens an arc
+        ends = np.ones(len(los), dtype=bool)
+        ends[:-1] = starts[1:]
+        los, his = los[starts], his[ends]
+        measure = float(np.cumsum(his - los)[-1]) if len(los) else 0
+        floats = (los.tolist(), his.tolist())
+        return cls._from_normal_form(list(zip(*floats)), period, measure, floats)
 
     # -- basic queries -------------------------------------------------------
 

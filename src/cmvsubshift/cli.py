@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -26,6 +27,7 @@ from .errors import NumericAssertionError, ResourceCapError, ValidationError
 from .gordon import gordon_set, monte_carlo_measure
 from .quadratic import parse_theta
 from .spectrum import (
+    CHUNK,
     DEFAULT_RESOLUTION,
     TAU,
     PeriodicAlphas,
@@ -302,13 +304,23 @@ def _resolve_periodic(cfg: RunConfig):
 
 def _write_curve(cfg: RunConfig, sample) -> None:
     """Discriminant samples as CSV: angle, value, imaginary part (0.0: the
-    discriminant is real by construction), band flag."""
-    omegas = np.linspace(0.0, TAU, cfg.resolution, endpoint=False)
-    disc = sample(omegas)
-    in_band = np.abs(disc) <= 2.0
-    rows = zip(omegas.tolist(), disc.tolist(), in_band.tolist())
-    lines = [f"{omega!r},{value!r},0.0,{int(flag)}\n" for omega, value, flag in rows]
-    _emit("angle,disc_real,disc_imag,in_band\n" + "".join(lines), cfg.curve)
+    discriminant is real by construction), band flag.  Rows are sampled,
+    formatted column by column and written ``CHUNK`` at a time; the angles
+    k * (TAU / n) are ``np.linspace(0, TAU, n, endpoint=False)``'s bits.
+    A run that fails part way leaves no curve file."""
+    n = cfg.resolution
+    with open(cfg.curve, "w", encoding="utf-8") as fh:
+        try:
+            fh.write("angle,disc_real,disc_imag,in_band\n")
+            for k in range(0, n, CHUNK):
+                omegas = np.arange(k, min(k + CHUNK, n)) * (TAU / n)
+                disc = sample(omegas)
+                flags = np.where(np.abs(disc) <= 2.0, "1", "0").tolist()
+                angles, values = map(float.__repr__, omegas.tolist()), map(float.__repr__, disc.tolist())
+                fh.writelines(f"{a},{v},0.0,{f}\n" for a, v, f in zip(angles, values, flags))
+        except BaseException:
+            os.remove(cfg.curve)
+            raise
 
 
 def cmd_spectrum(cfg: RunConfig) -> str:

@@ -16,9 +16,15 @@ real by construction; its one check is the determinant drift in
 and evenness, decided once where the source is built.
 ``approximant_discriminant`` is the one place a band-scan route is chosen:
 period-doubling approximants run the trace recursion, every other rule the
-substitution blocks of ``substitution_discriminant``; both are sampled in
-pieces of ``CHUNK`` angles.  A periodic sequence given by its values
-(``periodic_discriminant``, the Floquet cross-check) runs the per-site fold.
+substitution blocks of ``substitution_discriminant``.  A periodic sequence
+given by its values (``periodic_discriminant``, the Floquet cross-check)
+runs the per-site fold.
+
+The scan works in bounded memory on every route: each grid, each step of
+edge bisection and each block of ``--curve`` rows hands the sampler at
+most ``CHUNK`` angles, whose arrays stay in cache, and only the boolean
+mask of |disc| <= 2 spans a grid.  The band arcs reach ``ArcSet`` in bulk
+(``ArcSet.from_sweeps``).
 
 On most routes the discriminant is even in omega, and then the scan samples
 only [0, pi] (``Discriminant.even``).  The trace route reads z only
@@ -57,7 +63,7 @@ TAU = 2.0 * math.pi
 DEFAULT_RESOLUTION = 1 << 14
 MAX_RESOLUTION = 1 << 20
 EDGE_ANGLE_TOL = 1e-10
-CHUNK = 1 << 14  # angles per block evaluation: keeps the blocks in cache
+CHUNK = 1 << 14  # angles per sampler call in the scan and the curve: keeps the blocks in cache
 # Floquet eigenvalues: the rotation gamma of H = (e^{-i gamma} U + e^{i gamma} U*)/2,
 # and the bound on the eigenpair residual ||UV - V Lambda||_F, per site.  Not
 # gamma = 0 or pi: real coefficients at phi = +-1 give a spectrum closed under
@@ -190,20 +196,14 @@ def approximant_discriminant(rule: SubstitutionRule, level: int, f: VerblunskyMa
     This is where the route is chosen.  Period doubling runs the trace
     recursion from cos omega (real arithmetic, O(level) per angle); every
     other rule the pair-form substitution blocks (also O(level) per angle).
-    Both run in pieces of ``CHUNK`` angles, whose arrays stay in cache.
+    The scan and the curve hand either at most ``CHUNK`` angles at a time,
+    whose arrays stay in cache.
     """
     if rule == PERIOD_DOUBLING:
-        def piece(omegas: np.ndarray) -> np.ndarray:
+        def sample(omegas: np.ndarray) -> np.ndarray:
             return trace_a_grid(np.cos(omegas), f, level)  # the seed reads only Re z
     else:
-        piece = substitution_discriminant(rule, level, f)
-
-    def sample(omegas: np.ndarray) -> np.ndarray:
-        omegas = np.asarray(omegas, dtype=float)
-        out = np.empty(len(omegas))
-        for k in range(0, len(omegas), CHUNK):
-            out[k : k + CHUNK] = piece(omegas[k : k + CHUNK])
-        return out
+        sample = substitution_discriminant(rule, level, f)
 
     even = rule == PERIOD_DOUBLING or all(complex(c).imag == 0.0 for c in (f.alpha_a, f.alpha_b))
     return Discriminant(sample, approximant_lengths(rule, level)[0], even)
@@ -236,22 +236,59 @@ def _cyclic_runs(mask: np.ndarray):
     return starts, (ends_next[np.searchsorted(ends_next, starts, side="right")] - 1) % n
 
 
-def _bisect_band_edges(
-    inside_fn: Callable[[np.ndarray], np.ndarray],
-    out_angles: np.ndarray,
-    in_angles: np.ndarray,
-):
-    """Shrink brackets (outside angle, inside angle) down to EDGE_ANGLE_TOL."""
-    a = out_angles.astype(float).copy()
-    b = in_angles.astype(float).copy()
+def _inside(disc_fn: Callable[[np.ndarray], np.ndarray], omegas: np.ndarray) -> np.ndarray:
+    """|disc| <= 2 at the angles omegas, evaluated ``CHUNK`` angles at a time."""
+    out = np.empty(len(omegas), dtype=bool)
+    for k in range(0, len(omegas), CHUNK):
+        out[k : k + CHUNK] = np.abs(disc_fn(omegas[k : k + CHUNK])) <= 2.0
+    return out
+
+
+def _bisect_band_edges(disc_fn: Callable[[np.ndarray], np.ndarray], families):
+    """Shrink families of brackets (outside angles, inside angles) down to
+    EDGE_ANGLE_TOL, all families in one evaluation per step.
+
+    Each family keeps its own stop test, max |b - a| <= EDGE_ANGLE_TOL, and
+    freezes once it passes, so it gets the same evaluations as it would
+    alone.  Returns the midpoints, one array per family.
+    """
+    a = [out_angles.astype(float) for out_angles, _ in families]
+    b = [in_angles.astype(float) for _, in_angles in families]
+    active = list(range(len(families)))
     for _ in range(64):
-        if np.max(np.abs(b - a)) <= EDGE_ANGLE_TOL:
+        active = [i for i in active if not np.max(np.abs(b[i] - a[i])) <= EDGE_ANGLE_TOL]
+        if not active:
             break
-        mid = 0.5 * (a + b)
-        mid_in = inside_fn(mid)
-        b = np.where(mid_in, mid, b)
-        a = np.where(mid_in, a, mid)
-    return 0.5 * (a + b)
+        mids = [0.5 * (a[i] + b[i]) for i in active]
+        hits = _inside(disc_fn, np.concatenate(mids))
+        start = 0
+        for i, mid in zip(active, mids):
+            hit = hits[start : start + len(mid)]
+            start += len(mid)
+            a[i], b[i] = np.where(hit, a[i], mid), np.where(hit, mid, b[i])
+    return [0.5 * (lo + hi) for lo, hi in zip(a, b)]
+
+
+def _scan_into(out: np.ndarray, disc_fn, res: int, first: int, even: bool) -> None:
+    """Write |disc| <= 2 at the angles k * TAU / res, k = first, first + s,
+    ... < res (s = 1 + first: the whole grid from 0, or the odd indices a
+    doubling adds), into out, ``CHUNK`` angles at a time from integer
+    index ranges.  With ``even`` only k <= res/2 are evaluated, and the
+    other indices read the sample of res - k."""
+    stride = 1 + first
+    step = TAU / res
+    n = len(range(first, res // 2 + 1, stride)) if even else len(out)
+    for j in range(0, n, CHUNK):
+        ks = np.arange(first + j * stride, first + min(j + CHUNK, n) * stride, stride)
+        out[j : j + len(ks)] = np.abs(disc_fn(ks * step)) <= 2.0
+    if even:
+        lo = 1 - first  # angle 0 is its own mirror
+        out[n:] = out[lo : lo + len(out) - n][::-1]
+
+
+def _run_count(mask: np.ndarray) -> int:
+    """Number of cyclic runs of True: the False -> True transitions."""
+    return int(np.count_nonzero(mask[1:] > mask[:-1])) + int(mask[0] and not mask[-1])
 
 
 def band_arcs_from_function(
@@ -269,6 +306,14 @@ def band_arcs_from_function(
     of the finer grid, bit for bit.  Then every edge is bisected to
     ``EDGE_ANGLE_TOL``.
 
+    The scan holds no float array over a grid: every grid is evaluated
+    ``CHUNK`` angles at a time, each block's angles k * (TAU / res) taken
+    from an integer index range, and only the boolean mask of |disc| <= 2
+    spans the grid.  The stop rule reads the run count off the mask's
+    False -> True transitions; the runs themselves are found once, after
+    the last grid.  Bisection moves the left and the right edges together,
+    one evaluation per step of at most ``CHUNK`` angles per call.
+
     With ``even`` (``Discriminant.even``) each grid is evaluated only
     at the indices k <= res/2, and index k > res/2 takes the sample of
     res - k: the angles k h and (res - k) h are omega and 2 pi - omega.  The
@@ -281,41 +326,32 @@ def band_arcs_from_function(
     if resolution < 8:
         raise ValidationError("resolution too small to scan bands")
 
-    def inside(omegas: np.ndarray) -> np.ndarray:
-        return np.abs(disc_fn(omegas)) <= 2.0
-
-    def scan(ks: np.ndarray, res: int) -> np.ndarray:
-        """inside() at the angles ks * TAU / res; ks ascends and is closed
-        under k -> res - k (mod res)."""
-        if not even:
-            return inside(ks * (TAU / res))
-        n = int(np.searchsorted(ks, res // 2, side="right"))
-        half = inside(ks[:n] * (TAU / res))
-        lo = 1 if ks[0] == 0 else 0  # angle 0 is its own mirror
-        return np.concatenate([half, half[lo : lo + len(ks) - n][::-1]])
-
     res = int(resolution)
-    mask = scan(np.arange(res), res)
+    mask = np.empty(res, dtype=bool)
+    _scan_into(mask, disc_fn, res, 0, even)
     prev_count = -1
     while True:
-        starts, ends = _cyclic_runs(mask)
-        count = len(starts)
+        count = _run_count(mask)
         if (count == prev_count and count > 0) or res >= MAX_RESOLUTION or mask.all():
             break
         prev_count = count
         res *= 2
-        odd = scan(np.arange(1, res, 2), res)
-        mask = np.stack([mask, odd], axis=1).ravel()  # interleave: old angles are the even ones
+        finer = np.empty(res, dtype=bool)
+        finer[0::2] = mask  # old angles are the even ones
+        _scan_into(finer[1::2], disc_fn, res, 1, even)
+        mask = finer
 
     if mask.all():
         return ArcSet.full(TAU)
     if not mask.any():
         return ArcSet.empty(TAU)
 
+    starts, ends = _cyclic_runs(mask)
     step = TAU / res
-    left = _bisect_band_edges(inside, (starts - 1) * step, starts * step)
-    right = _bisect_band_edges(inside, (ends + 1) * step, ends * step)
-    return ArcSet(zip(left, np.where(right < left, right + TAU, right)), TAU)
+    left, right = _bisect_band_edges(
+        disc_fn, [((starts - 1) * step, starts * step), ((ends + 1) * step, ends * step)]
+    )
+    return ArcSet.from_sweeps(left, np.where(right < left, right + TAU, right), TAU)
 
 
 def band_arcs(disc: Discriminant, resolution: int = DEFAULT_RESOLUTION) -> ArcSet:

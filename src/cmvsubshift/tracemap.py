@@ -118,6 +118,8 @@ def iterate_traces(x, y, coupling: float, levels: int):
     A scalar seed runs as an array of length 1.  Overflow once an orbit has
     escaped is not an error; the traces run on to inf.  No reference to an
     earlier level is kept, so a grid scan holds no more arrays than it needs.
+    A level makes two new arrays, x y - C and x^2 - 2, each subtracted in
+    place; every level yields fresh arrays, so a caller may keep them.
     """
     if levels < 1:
         raise ValidationError("levels must be >= 1")
@@ -126,7 +128,11 @@ def iterate_traces(x, y, coupling: float, levels: int):
     yield x, y
     for _ in range(levels - 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            x, y = x * y - coupling, x * x - 2.0
+            t = x * y
+            t -= coupling
+            y = x * x
+            y -= 2.0
+        x = t
         yield x, y
 
 

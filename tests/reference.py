@@ -4,8 +4,8 @@ The transfer layer's is a full-matrix one, independent of its pair form: the
 single-site matrix is written out from the ``transfer.py`` docstring, with
 1/z in the lower row of an odd site, and products are plain 2x2 numpy
 products, so tests can check the pair-form kernels against it.  The band
-scan's re-evaluates the whole grid at every doubling and finds each run's
-end by walking it.  The Floquet eigensolve's is ``numpy.linalg.eigvals``,
+scan's re-evaluates the whole grid at every doubling in one call, finds
+each run's end by walking it, and bisects one family of edges at a time.  The Floquet eigensolve's is ``numpy.linalg.eigvals``,
 compared as a multiset of angles.  Exact quadratic values are evaluated in
 mpmath at a chosen number of digits.  The Gordon sets' is the generic
 route: one exact sweep per bad-arc centre, normalized by ``ArcSet`` (an
@@ -20,7 +20,7 @@ import numpy as np
 from cmvsubshift.arcs import ArcSet
 from cmvsubshift.gordon import convergent_gap
 from cmvsubshift.quadratic import exact
-from cmvsubshift.spectrum import MAX_RESOLUTION, _bisect_band_edges
+from cmvsubshift.spectrum import EDGE_ANGLE_TOL, MAX_RESOLUTION
 
 
 def site_matrix(alpha, z, n):
@@ -78,6 +78,20 @@ def cyclic_runs_by_walking(mask):
     return starts, ends
 
 
+def bisect_band_edges(inside_fn, out_angles, in_angles):
+    """Shrink brackets (outside angle, inside angle) down to EDGE_ANGLE_TOL."""
+    a = out_angles.astype(float).copy()
+    b = in_angles.astype(float).copy()
+    for _ in range(64):
+        if np.max(np.abs(b - a)) <= EDGE_ANGLE_TOL:
+            break
+        mid = 0.5 * (a + b)
+        mid_in = inside_fn(mid)
+        b = np.where(mid_in, mid, b)
+        a = np.where(mid_in, a, mid)
+    return 0.5 * (a + b)
+
+
 def full_grid_band_arcs(disc_fn, resolution):
     """The band scan with the library's stop rule and bisection, but every
     doubling re-evaluates its whole grid and runs are found by walking."""
@@ -101,8 +115,8 @@ def full_grid_band_arcs(disc_fn, resolution):
         return ArcSet.empty(tau)
     step = tau / res
     starts, ends = np.array(starts), np.array(ends)
-    left = _bisect_band_edges(inside, (starts - 1) * step, starts * step)
-    right = _bisect_band_edges(inside, (ends + 1) * step, ends * step)
+    left = bisect_band_edges(inside, (starts - 1) * step, starts * step)
+    right = bisect_band_edges(inside, (ends + 1) * step, ends * step)
     return ArcSet([(lo, hi + tau if hi < lo else hi) for lo, hi in zip(left, right)], tau)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmvsubshift.arcs import ArcSet
@@ -171,3 +171,62 @@ def test_monte_carlo_measure_matches_a_contains_many_count():
         for seed in range(4):
             got = monte_carlo_measure(arcs, 20_000, np.random.default_rng(seed))
             assert got == reference_monte_carlo(arcs, 20_000, np.random.default_rng(seed))
+
+
+# -- sweeps in bulk --------------------------------------------------------------
+
+GRID = [k * TAU / 8 for k in range(-9, 18)]  # sweeps on it touch and overlap exactly
+ENDS = st.one_of(
+    st.sampled_from(GRID + [0.0, -0.0, TAU, np.nextafter(TAU, 0.0), -1e-300, -TAU - 1e-9]),
+    st.floats(-20.0, 20.0),
+)
+SPANS = st.one_of(st.sampled_from([0.0, 1e-300, TAU, 2 * TAU, np.nextafter(TAU, 0.0)]), st.floats(0.0, 7.0))
+SWEEPS = st.one_of(
+    st.builds(lambda lo, span: (lo, lo + span), ENDS, SPANS),
+    st.builds(lambda k, j: (GRID[k], GRID[min(k + j, len(GRID) - 1)]), st.integers(0, len(GRID) - 1),
+              st.integers(0, 9)),
+)
+BAD_SWEEPS = st.sampled_from([(0.5, math.nan), (math.nan, 0.5), (1.0, 0.5), (0.0, math.inf), (-math.inf, 0.0)])
+
+
+def built(make):
+    try:
+        return make()
+    except ValidationError:
+        return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(sweeps=st.lists(SWEEPS, max_size=12), bad=st.one_of(st.none(), st.tuples(st.integers(0, 12), BAD_SWEEPS)))
+@example(sweeps=[(-1e-300, 0.5)], bad=None)  # lo % TAU rounds to TAU
+@example(sweeps=[(TAU - 0.25, TAU + 0.25), (0.1, 0.3)], bad=None)
+@example(sweeps=[(1.0, 2.0), (2.0, 3.0), (2.5, 2.5), (-TAU - 1e-9, 0.1)], bad=None)
+@example(sweeps=[(0.5, 0.5 + TAU)], bad=(1, (0.5, math.nan)))  # a full sweep first: never raises
+@example(sweeps=[(0.5, 0.6)], bad=(1, (0.0, math.inf)))
+def test_from_sweeps_equals_init(sweeps, bad):
+    # sweeps across 0, zero and sub-float spans, touching and overlapping
+    # arcs, negative lo, full-circle spans, and a NaN, infinite or negative
+    # span, which raises unless a full-circle sweep comes before it
+    if bad is not None:
+        sweeps.insert(bad[0], bad[1])
+    lo, hi = (np.array([s[k] for s in sweeps], dtype=float) for k in (0, 1))
+    ref = built(lambda: ArcSet(zip(lo, hi), TAU))
+    bulk = built(lambda: ArcSet.from_sweeps(lo, hi, TAU))
+    if ref is None:
+        assert bulk is None
+        return
+    assert bulk.arcs == ref.arcs
+    assert bulk.measure == ref.measure
+    assert repr(bulk.as_dict()) == repr(ref.as_dict())  # repr tells -0.0 from 0.0
+
+
+def test_from_sweeps_sums_the_measure_left_to_right():
+    # 277 arcs whose pairwise sum (np.sum) differs from the left-to-right
+    # one in the last bit
+    rng = np.random.default_rng(51)
+    lo = rng.uniform(0.0, TAU, 300)
+    hi = lo + 10.0 ** rng.uniform(-9, -1.5, 300)
+    bulk, ref = ArcSet.from_sweeps(lo, hi, TAU), ArcSet(zip(lo, hi), TAU)
+    los, his = (np.array(e) for e in bulk._float_endpoints())
+    assert np.sum(his - los) != ref.measure
+    assert bulk.arcs == ref.arcs and bulk.measure == ref.measure

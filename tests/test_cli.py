@@ -14,7 +14,7 @@ from cmvsubshift import cli, spectrum
 from cmvsubshift.arcs import ArcSet
 from cmvsubshift.gordon import gordon_set, monte_carlo_measure
 from cmvsubshift.quadratic import GOLDEN_MEAN
-from cmvsubshift.spectrum import build_floquet, periodic_approximant
+from cmvsubshift.spectrum import CHUNK, Discriminant, build_floquet, periodic_approximant
 from cmvsubshift.tracemap import trace_a_grid
 from cmvsubshift.transfer import VerblunskyMap
 from cmvsubshift.words import FIBONACCI, sturmian_coding
@@ -136,16 +136,18 @@ def test_thue_morse_discriminant_is_real_by_construction(capsys, tmp_path):
     assert {row["disc_imag"] for row in rows} == {"0.0"}
 
 
-def test_curve_bytes_match_csv_writer_rendering(capsys, tmp_path):
-    # 32768 rows span two sampling chunks; the reference seeds the trace map
-    # from exp(i omega) over the whole grid at once and renders with csv.writer
+@pytest.mark.parametrize("rows", [32768, CHUNK + 3])
+def test_curve_bytes_match_csv_writer_rendering(capsys, tmp_path, rows):
+    # 32768 rows fill two blocks, CHUNK + 3 end in a partial one; the
+    # reference seeds the trace map from exp(i omega) over the whole grid at
+    # once and renders with csv.writer
     curve = tmp_path / "curve.csv"
     code, _, err = run_cli(
         capsys, "spectrum", "--rule", "period-doubling", "--level", "9", "--f-a", "0.3", "--f-b=-0.3",
-        "--resolution", "32768", "--curve", str(curve),
+        "--resolution", str(rows), "--curve", str(curve),
     )
     assert code == 0, err
-    omegas = np.linspace(0.0, 2 * math.pi, 32768, endpoint=False)
+    omegas = np.linspace(0.0, 2 * math.pi, rows, endpoint=False)
     disc = trace_a_grid(np.exp(1j * omegas), VerblunskyMap(0.3, -0.3), 9)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -153,6 +155,35 @@ def test_curve_bytes_match_csv_writer_rendering(capsys, tmp_path):
     for omega, value in zip(omegas, disc):
         writer.writerow([repr(float(omega)), repr(float(value)), "0.0", int(abs(value) <= 2.0)])
     assert curve.read_bytes() == buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--rule", "period-doubling", "--level", "15", "--f-a", "0.3", "--f-b=-0.3", "--resolution", "100003"],
+        ["--rule", "thue-morse", "--level", "6", "--f-a", "0.25+0.1j", "--f-b=-0.2j", "--resolution", "20001"],
+    ],
+    ids=["pd15-even", "tm6-complex"],
+)
+def test_no_sampler_call_exceeds_chunk(capsys, monkeypatch, tmp_path, argv):
+    # the memory bound: grids, edge bisection (2 x 8,228 edges at level 15)
+    # and curve rows all reach the sampler at most CHUNK angles at a time
+    sizes = []
+    source = cli.approximant_discriminant
+
+    def recorded_source(*args):
+        disc = source(*args)
+
+        def sample(omegas):
+            sizes.append(len(omegas))
+            return disc.sample(omegas)
+
+        return Discriminant(sample, disc.period, disc.even)
+
+    monkeypatch.setattr(cli, "approximant_discriminant", recorded_source)
+    code, _, err = run_cli(capsys, "spectrum", *argv, "--curve", str(tmp_path / "curve.csv"))
+    assert code == 0, err
+    assert max(sizes) == CHUNK and sum(sizes) > 4 * CHUNK
 
 
 def test_spectrum_reads_q_from_letter_lengths(capsys):

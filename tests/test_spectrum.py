@@ -7,10 +7,13 @@ import pytest
 
 from cmvsubshift.errors import ValidationError
 from cmvsubshift.spectrum import (
+    CHUNK,
     FLOQUET_ROTATION,
     FloquetOperator,
     PeriodicAlphas,
+    _bisect_band_edges,
     _cyclic_runs,
+    _run_count,
     approximant_discriminant,
     band_arcs,
     band_arcs_from_function,
@@ -23,7 +26,7 @@ from cmvsubshift.spectrum import (
 from cmvsubshift.tracemap import trace_bound_check, trace_orbit
 from cmvsubshift.transfer import VerblunskyMap, transfer_product, unit_point
 from cmvsubshift.words import FIBONACCI, PERIOD_DOUBLING, THUE_MORSE
-from reference import angle_mismatch, cyclic_runs_by_walking
+from reference import angle_mismatch, bisect_band_edges, cyclic_runs_by_walking, full_grid_band_arcs
 
 TAU = 2 * math.pi
 RNG_SEED = 314159
@@ -122,6 +125,7 @@ def test_cyclic_runs_match_walking_reference():
     for mask in masks:
         starts, ends = _cyclic_runs(mask)
         assert (list(starts), list(ends)) == cyclic_runs_by_walking(mask)
+        assert _run_count(mask) == len(starts)  # what the scan's stop rule reads
 
 
 def test_period_doubling_grid_route_matches_direct_product_route():
@@ -325,3 +329,53 @@ def test_first_grid_in_no_band_keeps_doubling():
     coarse = band_arcs(disc, 8)
     assert coarse.arcs == band_arcs(disc, 16).arcs
     assert coarse.as_dict()["count"] == disc.period == 8
+
+
+def test_edge_families_bisect_together_as_each_would_alone():
+    # left brackets from a 256-angle grid need more halvings than right
+    # brackets from a 2^16-angle grid; the short family freezes first
+    disc = approximant_discriminant(PERIOD_DOUBLING, 5, VerblunskyMap(0.3, -0.3))
+
+    def inside(omegas):
+        return np.abs(disc.sample(omegas)) <= 2.0
+
+    def brackets(res, side):
+        starts, ends = _cyclic_runs(inside(np.arange(res) * (TAU / res)))
+        step = TAU / res
+        return ((starts - 1) * step, starts * step) if side == "left" else ((ends + 1) * step, ends * step)
+
+    families = [brackets(256, "left"), brackets(1 << 16, "right")]
+    calls = []
+
+    def recorded(omegas):
+        calls.append(len(omegas))
+        return disc.sample(omegas)
+
+    got = _bisect_band_edges(recorded, families)
+    steps = []
+    for (out_angles, in_angles), edges in zip(families, got):
+        ref_calls = []
+
+        def counted(omegas):
+            ref_calls.append(len(omegas))
+            return inside(omegas)
+
+        assert np.array_equal(edges, bisect_band_edges(counted, out_angles, in_angles))
+        steps.append(len(ref_calls))
+    sizes = [len(out_angles) for out_angles, _ in families]
+    assert steps[0] > steps[1] > 0
+    assert calls == [sum(sizes)] * steps[1] + [sizes[0]] * (steps[0] - steps[1])
+
+
+@pytest.mark.parametrize("even", [False, True], ids=["full-circle", "half-circle"])
+@pytest.mark.parametrize(
+    "rule, level", [(PERIOD_DOUBLING, 7), (THUE_MORSE, 5)], ids=["trace-route", "pair-route"]
+)
+def test_block_scan_past_chunk_matches_full_grid_scan(rule, level, even):
+    # 3 CHUNK + 5 angles: every grid ends in a partial block, the first grid
+    # evaluated in blocks and the reference's in one call per grid
+    disc = approximant_discriminant(rule, level, VerblunskyMap(0.3, -0.3))
+    assert disc.even
+    arcs = band_arcs_from_function(disc.sample, 3 * CHUNK + 5, even=even)
+    ref = full_grid_band_arcs(disc.sample, 3 * CHUNK + 5)
+    assert arcs.count > 1 and arcs.arcs == ref.arcs and arcs.measure == ref.measure

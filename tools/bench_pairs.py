@@ -27,7 +27,9 @@ JSON; when the file exists and holds the same two revisions, the new runs
 are added to it, so one file can hold the runs of several seeds.  Each side
 also records ``src_sha256``, a digest of the paths and bytes of its
 ``src/`` files, so the file names the code it measured even when a side is
-a working tree; runs are only added to a file whose digests match.
+a working tree; runs are only added to a file whose digests match.  An
+``--out`` named ``BENCH_<n>.json`` records ``"pr": n``, the number of the
+change the file measures, since neither side's sha names that commit.
 The script only reads the checkout it is run from; everything it
 writes goes to DIR (each side's ``.perfbench_out/`` included) and to
 ``--out``.
@@ -39,6 +41,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -162,6 +165,9 @@ def main(argv=None) -> int:
 
     checkouts = {side: os.path.join(os.path.abspath(args.workdir), side) for side in SIDES}
     report = {}
+    named = re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(args.out or ""))
+    if named:
+        report["pr"] = int(named.group(1))
     for side, rev in zip(SIDES, (args.base, args.head)):
         report[side] = {"rev": rev, "sha": export(rev, checkouts[side]), "src_sha256": src_digest(checkouts[side])}
     report.update(python=sys.version.split()[0], cpus=os.cpu_count(), runs=[])

@@ -57,6 +57,11 @@ CONFIGS = [
                                "--f-b=-0.2", "--resolution", "1001"]),
     # a first grid in no band: the scan doubles until it finds them
     ("spectrum-pd3-res8", ["spectrum", *PD, "--level", "3", "--resolution", "8"]),
+    # grids and curves past CHUNK angles, at resolutions that are not a multiple of it:
+    # the trace route, and the pair-product route with its rescale per array
+    ("spectrum-pd9-curve-40001", ["spectrum", *PD, "--level", "9", "--resolution", "40001", "--curve"]),
+    ("spectrum-tm6-complex-20001", ["spectrum", "--rule", "thue-morse", "--level", "6", *COMPLEX_F,
+                                    "--resolution", "20001", "--curve"]),
     ("trace-escape", ["trace", "--z", "1", "--f-a", "0.5", "--f-b=-0.5", "--levels", "14"]),
     ("trace-band", ["trace", "--z", "0.6+0.8j", *COMPLEX_F, "--levels", "10"]),
     ("trace-near-circle", ["trace", "--z", "1.000000009j", "--f-a", "0.5", "--f-b=-0.5"]),
