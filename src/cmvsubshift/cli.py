@@ -7,7 +7,8 @@ defaults; explicit flags win.  Outputs are UTF-8 text (words), CSV (curves,
 orbits), or versioned JSON, and identical config + seed reproduces them
 byte for byte.
 
-Exit codes: 0 success, 2 usage or validation, 3 numeric assertion,
+Exit codes: 0 success, 2 usage or validation (an --output, --curve or
+--config path that cannot be opened included), 3 numeric assertion,
 4 resource cap or out of memory.
 """
 
@@ -19,10 +20,13 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Optional, Tuple
 
 import numpy as np
 
+from . import floatfmt
 from .errors import NumericAssertionError, ResourceCapError, ValidationError
 from .gordon import gordon_set, monte_carlo_measure
 from .quadratic import parse_theta
@@ -49,6 +53,7 @@ EXIT_NUMERIC = 3
 EXIT_RESOURCE = 4
 
 _COMPLEX_KEYS = ("f_a", "f_b", "z")
+_HI_LO = itemgetter("hi", "lo")  # an arc's endpoints in json.dumps' key order
 
 
 # ---------------------------------------------------------------------------
@@ -228,24 +233,32 @@ def _json_value(value, pad: str) -> str:
 
 def _arc_list_text(arcs, pad: str) -> Optional[str]:
     """A non-empty list of {"lo", "hi"} dicts of finite floats as json.dumps
-    writes it at indentation ``pad``; None for anything else."""
-    if type(arcs) is not list or not arcs or {type(arc) for arc in arcs} != {dict}:
+    writes it at indentation ``pad``; None for anything else.  The endpoints
+    are formatted in blocks by ``floatfmt.rows``, whose bytes are
+    ``float.__repr__``'s, as json.dumps writes a float."""
+    if type(arcs) is not list or not arcs or set(map(type, arcs)) != {dict} or set(map(len, arcs)) != {2}:
         return None
-    if any(len(arc) != 2 or "lo" not in arc or "hi" not in arc for arc in arcs):
+    try:
+        ends = list(chain.from_iterable(map(_HI_LO, arcs)))
+    except KeyError:
         return None
-    ends = [x for arc in arcs for x in (arc["hi"], arc["lo"])]
-    if {type(x) for x in ends} != {float} or not np.isfinite(ends).all():
-        return None  # json.dumps spells nan and inf, and float subclasses, its own way
+    if set(map(type, ends)) != {float}:
+        return None  # json.dumps spells float subclasses its own way
+    ends = np.array(ends)
+    if not np.isfinite(ends).all():
+        return None  # and nan and inf
     inner = pad + "  "
-    item = inner + "{\n" + inner + '  "hi": %r,\n' + inner + '  "lo": %r\n' + inner + "}"
-    body = ",\n".join([item] * len(arcs)) % tuple(ends)
-    return "[\n" + body + "\n" + pad + "]"
+    head, middle, tail = f'{inner}{{\n{inner}  "hi": ', f',\n{inner}  "lo": ', f"\n{inner}}},\n"
+    body = floatfmt.rows([head, ends[0::2], middle, ends[1::2], tail])
+    return "[\n" + body[:-2] + "\n" + pad + "]"
 
 
 def _json_text(payload: dict) -> str:
     """The bytes of json.dumps(payload, indent=2, sort_keys=True) + newline,
     with the arc lists (the bulk of a band or Gordon payload) written
-    directly instead of through json's pure-Python indenting encoder."""
+    directly instead of through json's pure-Python indenting encoder: their
+    endpoints are formatted in blocks by ``floatfmt``, byte for byte as
+    ``float.__repr__`` writes them."""
     return _json_value(payload, "") + "\n"
 
 
@@ -304,10 +317,12 @@ def _resolve_periodic(cfg: RunConfig):
 
 def _write_curve(cfg: RunConfig, sample) -> None:
     """Discriminant samples as CSV: angle, value, imaginary part (0.0: the
-    discriminant is real by construction), band flag.  Rows are sampled,
-    formatted column by column and written ``CHUNK`` at a time; the angles
-    k * (TAU / n) are ``np.linspace(0, TAU, n, endpoint=False)``'s bits.
-    A run that fails part way leaves no curve file."""
+    discriminant is real by construction), band flag.  Rows are sampled and
+    written ``CHUNK`` at a time; ``floatfmt.rows`` formats a block's four
+    columns as one buffer, every float byte for byte as ``float.__repr__``
+    writes it.  The angles k * (TAU / n) are
+    ``np.linspace(0, TAU, n, endpoint=False)``'s bits.  A run that fails
+    part way leaves no curve file."""
     n = cfg.resolution
     with open(cfg.curve, "w", encoding="utf-8") as fh:
         try:
@@ -315,9 +330,8 @@ def _write_curve(cfg: RunConfig, sample) -> None:
             for k in range(0, n, CHUNK):
                 omegas = np.arange(k, min(k + CHUNK, n)) * (TAU / n)
                 disc = sample(omegas)
-                flags = np.where(np.abs(disc) <= 2.0, "1", "0").tolist()
-                angles, values = map(float.__repr__, omegas.tolist()), map(float.__repr__, disc.tolist())
-                fh.writelines(f"{a},{v},0.0,{f}\n" for a, v, f in zip(angles, values, flags))
+                flags = np.where(np.abs(disc) <= 2.0, b",0.0,1\n", b",0.0,0\n")
+                fh.write(floatfmt.rows([omegas, ",", disc, flags]))
         except BaseException:
             os.remove(cfg.curve)
             raise
@@ -471,7 +485,7 @@ def main(argv=None) -> int:
         cfg = merge_config(args)
         text = _HANDLERS[cfg.command](cfg)
         _emit(text, cfg.output)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericAssertionError as exc:

@@ -24,7 +24,9 @@ The scan works in bounded memory on every route: each grid, each step of
 edge bisection and each block of ``--curve`` rows hands the sampler at
 most ``CHUNK`` angles, whose arrays stay in cache, and only the boolean
 mask of |disc| <= 2 spans a grid.  The band arcs reach ``ArcSet`` in bulk
-(``ArcSet.from_sweeps``).
+(``ArcSet.from_sweeps``).  The CLI writes each block of curve rows, and
+the arc endpoints of its JSON, through ``floatfmt.rows``, which formats
+them in blocks and writes the bytes of ``float.__repr__``.
 
 On most routes the discriminant is even in omega, and then the scan samples
 only [0, pi] (``Discriminant.even``).  The trace route reads z only

@@ -336,6 +336,18 @@ def _gordon_payload():
     return payload
 
 
+def _arc_list(ends):
+    return {"schema": "v1", "arcs": [{"lo": lo, "hi": hi} for lo, hi in zip(ends[0::2], ends[1::2])]}
+
+
+def _long_arc_list():
+    # 5,000 arcs, more than one block of floatfmt rows, with exponent forms
+    rng = np.random.default_rng(7)
+    ends = np.sort(np.geomspace(1e-7, 6.28, 10_000) * rng.uniform(0.999, 1.0, 10_000))
+    ends[-1] = 1e17
+    return _arc_list(ends.tolist())
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -349,8 +361,10 @@ def _gordon_payload():
         },
         {"arcs": [{"lo": float("nan"), "hi": 1.0}], "other": {"arcs": [{"lo": 0.5}]}},
         _gordon_payload(),
+        _arc_list([0.1 * k for k in range(20)]),
+        _long_arc_list(),
     ],
-    ids=["empty", "full", "across-0", "nested", "not-plain-arcs", "gordon-mc"],
+    ids=["empty", "full", "across-0", "nested", "not-plain-arcs", "gordon-mc", "short-arcs", "long-arcs"],
 )
 def test_json_text_matches_json_dumps(payload):
     assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -434,6 +448,18 @@ def test_exit_codes(capsys):
     assert code == 2  # missing z
     code, _, err = run_cli(capsys, "word", "--rule", "no-such-rule", "--level", "2")
     assert code == 2 and "known rules" in err
+
+
+@pytest.mark.parametrize("flag", ["--output", "--config", "--curve"])
+def test_path_that_cannot_be_opened_is_usage_error(capsys, tmp_path, flag):
+    path = str(tmp_path / "no-such-dir" / "file")
+    if flag == "--curve":
+        argv = ["spectrum", "--rule", "period-doubling", "--level", "4", "--f-a", "0.3", "--f-b=-0.3"]
+    else:
+        argv = ["cf", "--theta", "golden", "--depth", "3"]
+    code, out, err = run_cli(capsys, *argv, flag, path)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: ") and path in err and err.count("\n") == 1
 
 
 def test_out_of_memory_is_resource_exit(capsys, monkeypatch):

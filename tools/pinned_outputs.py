@@ -62,6 +62,9 @@ CONFIGS = [
     ("spectrum-pd9-curve-40001", ["spectrum", *PD, "--level", "9", "--resolution", "40001", "--curve"]),
     ("spectrum-tm6-complex-20001", ["spectrum", "--rule", "thue-morse", "--level", "6", *COMPLEX_F,
                                     "--resolution", "20001", "--curve"]),
+    # escaped samples: 382 inf rows, and values with three-digit exponents
+    ("spectrum-pd12-escape-curve", ["spectrum", "--rule", "period-doubling", "--level", "12", "--f-a", "0.5",
+                                    "--f-b=-0.5", "--resolution", "1024", "--curve"]),
     ("trace-escape", ["trace", "--z", "1", "--f-a", "0.5", "--f-b=-0.5", "--levels", "14"]),
     ("trace-band", ["trace", "--z", "0.6+0.8j", *COMPLEX_F, "--levels", "10"]),
     ("trace-near-circle", ["trace", "--z", "1.000000009j", "--f-a", "0.5", "--f-b=-0.5"]),
