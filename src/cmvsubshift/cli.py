@@ -380,17 +380,16 @@ def cmd_floquet_check(cfg: RunConfig) -> str:
     alphas, meta = _resolve_periodic(cfg)
     if cfg.phi_count < 1:
         raise ValidationError("phi-count must be >= 1")
-    rows = []
-    for k in range(cfg.phi_count):
-        angle = TAU * k / cfg.phi_count
-        res = floquet_discriminant_residual(alphas, complex(np.exp(1j * angle)))
-        rows.append(
-            {
-                "phi_angle": angle,
-                "unitarity_defect": res["unitarity_defect"],
-                "worst_residual": res["worst_residual"],
-            }
-        )
+    angles = [TAU * k / cfg.phi_count for k in range(cfg.phi_count)]
+    reports = floquet_discriminant_residual(alphas, [complex(np.exp(1j * angle)) for angle in angles])
+    rows = [
+        {
+            "phi_angle": angle,
+            "unitarity_defect": res["unitarity_defect"],
+            "worst_residual": res["worst_residual"],
+        }
+        for angle, res in zip(angles, reports)
+    ]
     payload = {
         "schema": SCHEMA,
         **meta,

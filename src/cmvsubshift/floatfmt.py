@@ -10,9 +10,10 @@ layout is read from a table with one row per sign, digit count and form:
 exponent form when the decimal point sits at <= -4 or > 16 (a sign and at
 least two exponent digits), positional otherwise, with ``.0`` after an
 integral value.  Zero, subnormals, infinities and nan go to
-``float.__repr__``, and so does every block of fewer than ``BREAK_EVEN``
-values: the kernel's cost per call is about that of 500 reprs.  Both tables
-are built on first use, never at import.
+``float.__repr__``.  A block of fewer than ``BREAK_EVEN`` values, where the
+kernel's cost per call is about that of 500 reprs, is written row by row
+through one %-template, whose '%r' is ``float.__repr__``.  Both tables are
+built on first use, never at import.
 """
 
 from __future__ import annotations
@@ -191,8 +192,6 @@ def _by_repr(values):
 def _fields(values):
     """repr(float(x)) for each x of the float64 array ``values``, one
     NUL-padded row of WIDTH bytes each."""
-    if len(values) < BREAK_EVEN:
-        return _by_repr(values)
     biased = (values.view(_U) >> _U(52)) & _U(0x7FF)
     special = (biased == 0) | (biased == 0x7FF)  # zero, subnormal, inf, nan
     chars = _kernel(np.where(special, 1.0, values))
@@ -200,11 +199,27 @@ def _fields(values):
     return chars
 
 
-def _block(parts) -> bytes:
-    """The rows of one block: every part's bytes side by side in a table,
-    NULs dropped."""
+def _by_template(parts) -> str:
+    """The rows of a small block, each through one %-template: '%r' of a
+    Python float is float.__repr__."""
+    template = "".join(
+        p.replace("%", "%%") if isinstance(p, str) else "%r" if p.dtype.kind == "f" else "%s" for p in parts
+    )
+    columns = [
+        p.tolist() if p.dtype.kind == "f" else [x.decode("ascii") for x in p.tolist()]
+        for p in parts if not isinstance(p, str)
+    ]
+    return "".join([template % row for row in zip(*columns)])
+
+
+def _block(parts) -> str:
+    """The rows of one block: below BREAK_EVEN float values through a
+    template; otherwise every part's bytes side by side in a table, NULs
+    dropped."""
     columns = [p for p in parts if not isinstance(p, str) and p.dtype.kind == "f"]
     rows = len(next(p for p in parts if not isinstance(p, str)))
+    if rows * len(columns) < BREAK_EVEN:
+        return _by_template(parts)
     fields = iter(_fields(np.concatenate(columns)).reshape(len(columns), rows, WIDTH) if columns else ())
     pieces = [
         np.frombuffer(p.encode("ascii"), np.uint8)[None, :] if isinstance(p, str)
@@ -217,7 +232,7 @@ def _block(parts) -> bytes:
     for piece in pieces:
         table[:, start : start + piece.shape[1]] = piece
         start += piece.shape[1]
-    return table[table != 0].tobytes()
+    return table[table != 0].tobytes().decode("ascii")
 
 
 def rows(parts) -> str:
@@ -237,4 +252,4 @@ def rows(parts) -> str:
         _block([p if isinstance(p, str) else p[start : start + BLOCK] for p in parts])
         for start in range(0, count, BLOCK)
     ]
-    return b"".join(blocks).decode("ascii")
+    return "".join(blocks)

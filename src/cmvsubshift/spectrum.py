@@ -8,7 +8,11 @@ bisection on |disc| = 2, and builds the finite q x q Floquet operator whose
 eigenvalues give the exact band correspondence disc(z0) = phi + 1/phi.
 Those eigenvalues come from a Hermitian eigensolve of the rotated real part
 of the unitary operator, accepted only when their residual certifies them;
-the general eigensolver runs only where that check fails.
+the general eigensolver runs only where that check fails.  The cross-check
+(``floquet_discriminant_residual``) takes all its phases in one call: the
+phi-free parts of the operator are built once (``floquet_skeleton``), the
+operators and eigensolves follow one phase at a time, and the eigenvalues
+of as many phases as fit in ``CHUNK`` points go through one per-site fold.
 
 Every discriminant comes from the pair-form product of ``transfer`` and is
 real by construction; its one check is the determinant drift in
@@ -403,7 +407,40 @@ class FloquetOperator:
         return np.linalg.eigvals(u)
 
 
-def build_floquet(alphas: PeriodicAlphas, phi: complex) -> FloquetOperator:
+def floquet_skeleton(alphas: PeriodicAlphas):
+    """The phi-free parts of the twisted one-period operator, as
+    ``build_floquet`` lays them out: the 2x2 blocks at even offsets, the odd
+    factor with its two twisted corner entries left at zero, and the corner
+    block.  ``theta_matrix`` runs once per distinct coefficient, told apart
+    by its bits, signed zeros included."""
+    q = alphas.period
+    if q < 4 or q % 2:
+        raise ValidationError("Floquet operator needs an even period >= 4")
+    theta, blocks = {}, []  # blocks[n - 1]: the block of site n
+    for v in alphas.values:
+        key = (v, math.copysign(1.0, v.real), math.copysign(1.0, v.imag))
+        if key not in theta:
+            theta[key] = theta_matrix(v)
+        blocks.append(theta[key])
+
+    odd_part = np.zeros((q, q), dtype=complex)
+    for j in range(1, q - 2, 2):
+        odd_part[j : j + 2, j : j + 2] = blocks[j - 1]
+    corner = blocks[q - 2]
+    odd_part[q - 1, q - 1] = corner[0, 0]
+    odd_part[0, 0] = corner[1, 1]
+    even_blocks = np.array([blocks[q - 1], *blocks[1 : q - 2 : 2]])  # offsets 0, 2, ..., q - 2
+    return even_blocks, odd_part, corner
+
+
+def _check_phase(phi: complex) -> complex:
+    phi = complex(phi)
+    if abs(abs(phi) - 1.0) > UNIT_MODULUS_TOL:
+        raise ValidationError("Floquet phase must sit on the unit circle")
+    return phi
+
+
+def build_floquet(alphas: PeriodicAlphas, phi: complex, skeleton=None) -> FloquetOperator:
     """Assemble the twisted one-period CMV operator from 2x2 unitary blocks.
 
     Two block-diagonal unitaries interleave: one carries the blocks at even
@@ -412,44 +449,60 @@ def build_floquet(alphas: PeriodicAlphas, phi: complex) -> FloquetOperator:
     eigenvalues z0 solve disc(z0) = phi + 1/phi.  Row pair (j, j+1) of the
     product is the even block at j times rows j, j+1 of the odd factor, so
     it costs 2 x 2 by 2 x q products, not a dense q x q one.
+
+    Only the two twisted corner entries depend on phi: ``skeleton``, the
+    phi-free parts (``floquet_skeleton(alphas)``), lets operators at many
+    phases share them; without it they are built here.
     """
-    q = alphas.period
-    if q < 4 or q % 2:
-        raise ValidationError("Floquet operator needs an even period >= 4")
-    phi = complex(phi)
-    if abs(abs(phi) - 1.0) > UNIT_MODULUS_TOL:
-        raise ValidationError("Floquet phase must sit on the unit circle")
-
-    even_blocks = np.array([theta_matrix(alphas.alpha(j)) for j in range(0, q, 2)])
-
-    odd_part = np.zeros((q, q), dtype=complex)
-    for j in range(1, q - 2, 2):
-        odd_part[j : j + 2, j : j + 2] = theta_matrix(alphas.alpha(j))
-    corner = theta_matrix(alphas.alpha(q - 1))
-    odd_part[q - 1, q - 1] = corner[0, 0]
+    even_blocks, odd_free, corner = floquet_skeleton(alphas) if skeleton is None else skeleton
+    phi = _check_phase(phi)
+    q = len(odd_free)
+    odd_part = odd_free.copy()
     odd_part[q - 1, 0] = corner[0, 1] * phi
     odd_part[0, q - 1] = corner[1, 0] / phi
-    odd_part[0, 0] = corner[1, 1]
-
     return FloquetOperator((even_blocks @ odd_part.reshape(q // 2, 2, q)).reshape(q, q), q, phi)
 
 
-def floquet_discriminant_residual(
-    alphas: PeriodicAlphas, phi: complex
-) -> dict:
+def floquet_discriminant_residual(alphas: PeriodicAlphas, phi):
     """Cross-validate the Floquet route against the transfer-product route.
 
-    Returns the unitarity defect and the worst |disc(z0) - (phi + 1/phi)|
-    over the eigenvalues z0 of the Floquet operator.
+    For each phase phi: the unitarity defect of the Floquet operator and the
+    worst |disc(z0) - (phi + 1/phi)| over its eigenvalues z0.  ``phi`` is one
+    phase, which returns its report, or a sequence of phases, which returns
+    their reports in order; one phase is a sequence of length 1.
+
+    The period and every phase are checked before any operator is built.
+    The phi-free parts of the operator are built once (``floquet_skeleton``),
+    and the eigensolves run one phase at a time, so memory stays O(q^2)
+    whatever the number of phases.  The eigenvalues of as many phases as fit in ``CHUNK`` points (at
+    least one phase) go through one per-site fold, and the determinant drift
+    check runs on each phase's slice in phase order: the first failing phase
+    raises, as it would alone.
     """
-    flo = build_floquet(alphas, phi)
-    target = (phi + 1.0 / phi).real
-    z0 = flo.eigenvalues()
-    disc = discriminant_grid(z0 / np.abs(z0), alphas)  # unit modulus up to rounding
-    worst = float(np.max(np.abs(disc - target)))
-    return {
-        "q": flo.q,
-        "phi": flo.phi,
-        "unitarity_defect": flo.unitarity_defect(),
-        "worst_residual": worst,
-    }
+    skeleton = floquet_skeleton(alphas)
+    phis = [_check_phase(p) for p in np.atleast_1d(phi)]
+    q = alphas.period
+    per_fold = max(1, CHUNK // q)
+    reports = []
+    for first in range(0, len(phis), per_fold):
+        batch = phis[first : first + per_fold]
+        points, defects = [], []
+        for p in batch:
+            flo = build_floquet(alphas, p, skeleton)
+            z0 = flo.eigenvalues()
+            points.append(z0 / np.abs(z0))  # unit modulus up to rounding
+            defects.append(flo.unitarity_defect())
+        a, b, e = transfer_product_grid(alphas.alpha, np.concatenate(points), 1, q)
+        e = np.broadcast_to(e, a.shape)
+        for k, (p, defect) in enumerate(zip(batch, defects)):
+            at = slice(k * q, (k + 1) * q)
+            disc = pair_trace((a[at], b[at], e[at]), q)
+            reports.append(
+                {
+                    "q": q,
+                    "phi": p,
+                    "unitarity_defect": defect,
+                    "worst_residual": float(np.max(np.abs(disc - (p + 1.0 / p).real))),
+                }
+            )
+    return reports if np.ndim(phi) else reports[0]

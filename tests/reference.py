@@ -6,7 +6,9 @@ single-site matrix is written out from the ``transfer.py`` docstring, with
 products, so tests can check the pair-form kernels against it.  The band
 scan's re-evaluates the whole grid at every doubling in one call, finds
 each run's end by walking it, and bisects one family of edges at a time.  The Floquet eigensolve's is ``numpy.linalg.eigvals``,
-compared as a multiset of angles.  Exact quadratic values are evaluated in
+compared as a multiset of angles.  The Floquet cross-check's runs one phase
+at a time: a 2x2 block per site, a fresh operator, eigensolve and per-site
+fold per phase.  Exact quadratic values are evaluated in
 mpmath at a chosen number of digits.  The Gordon sets' is the generic
 route: one exact sweep per bad-arc centre, normalized by ``ArcSet`` (an
 exact sort and merge) and complemented.
@@ -20,7 +22,8 @@ import numpy as np
 from cmvsubshift.arcs import ArcSet
 from cmvsubshift.gordon import convergent_gap
 from cmvsubshift.quadratic import exact
-from cmvsubshift.spectrum import EDGE_ANGLE_TOL, MAX_RESOLUTION
+from cmvsubshift.spectrum import EDGE_ANGLE_TOL, MAX_RESOLUTION, FloquetOperator, discriminant_grid
+from cmvsubshift.transfer import theta_matrix
 
 
 def site_matrix(alpha, z, n):
@@ -118,6 +121,43 @@ def full_grid_band_arcs(disc_fn, resolution):
     left = bisect_band_edges(inside, (starts - 1) * step, starts * step)
     right = bisect_band_edges(inside, (ends + 1) * step, ends * step)
     return ArcSet([(lo, hi + tau if hi < lo else hi) for lo, hi in zip(left, right)], tau)
+
+
+def floquet_matrix(alphas, phi):
+    """The twisted one-period operator, every block built from its site's
+    coefficient: the even offsets' blocks times the odd factor, whose wrapped
+    corner block is twisted by phi, two rows at a time."""
+    q = alphas.period
+    even_blocks = np.array([theta_matrix(alphas.alpha(j)) for j in range(0, q, 2)])
+    odd_part = np.zeros((q, q), dtype=complex)
+    for j in range(1, q - 2, 2):
+        odd_part[j : j + 2, j : j + 2] = theta_matrix(alphas.alpha(j))
+    corner = theta_matrix(alphas.alpha(q - 1))
+    odd_part[q - 1, q - 1] = corner[0, 0]
+    odd_part[q - 1, 0] = corner[0, 1] * phi
+    odd_part[0, q - 1] = corner[1, 0] / phi
+    odd_part[0, 0] = corner[1, 1]
+    return (even_blocks @ odd_part.reshape(q // 2, 2, q)).reshape(q, q)
+
+
+def floquet_residuals_phase_by_phase(alphas, phis):
+    """The Floquet cross-check's reports, one phase after another: each
+    phase builds its operator, solves it and folds its eigenvalues alone, so
+    a drift failure raises at the first failing phase."""
+    reports = []
+    for phi in map(complex, phis):
+        flo = FloquetOperator(floquet_matrix(alphas, phi), alphas.period, phi)
+        z0 = flo.eigenvalues()
+        disc = discriminant_grid(z0 / np.abs(z0), alphas)
+        reports.append(
+            {
+                "q": flo.q,
+                "phi": phi,
+                "unitarity_defect": flo.unitarity_defect(),
+                "worst_residual": float(np.max(np.abs(disc - (phi + 1.0 / phi).real))),
+            }
+        )
+    return reports
 
 
 def quadratic_mpf(x, dps):

@@ -59,3 +59,12 @@ def test_curve_block_with_inf_rows_matches_f_strings():
         f"{a!r},{v!r},0.0,{int(abs(v) <= 2.0)}\n" for a, v in zip(omegas.tolist(), disc.tolist())
     )
     assert floatfmt.rows([omegas, ",", disc, flags]) == expected
+
+
+def test_small_block_goes_through_the_template():
+    # below BREAK_EVEN values a block is written by a %-template: a literal
+    # '%' in a str part and the bytes of a bytes part come through as they are
+    values = np.array([0.1, -0.0, np.inf, -np.nan, 5e-324, 1e16, 9.999999999999999e-05, -123.5])
+    flags = np.array([b"%d", b"%%", b"x"] * 2 + [b"%r", b"%s"])
+    text = floatfmt.rows(["%", values, " %s ", flags, "\n"])
+    assert text == "".join(f"%{v!r} %s {f.decode()}\n" for v, f in zip(values.tolist(), flags.tolist()))

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cmvsubshift.errors import ValidationError
+from cmvsubshift import spectrum, transfer
+from cmvsubshift.errors import NumericAssertionError, ValidationError
 from cmvsubshift.spectrum import (
     CHUNK,
     FLOQUET_ROTATION,
@@ -24,9 +25,15 @@ from cmvsubshift.spectrum import (
     periodic_discriminant,
 )
 from cmvsubshift.tracemap import trace_bound_check, trace_orbit
-from cmvsubshift.transfer import VerblunskyMap, transfer_product, unit_point
+from cmvsubshift.transfer import UNIT_ROUNDOFF, VerblunskyMap, transfer_product, transfer_product_grid, unit_point
 from cmvsubshift.words import FIBONACCI, PERIOD_DOUBLING, THUE_MORSE
-from reference import angle_mismatch, bisect_band_edges, cyclic_runs_by_walking, full_grid_band_arcs
+from reference import (
+    angle_mismatch,
+    bisect_band_edges,
+    cyclic_runs_by_walking,
+    floquet_residuals_phase_by_phase,
+    full_grid_band_arcs,
+)
 
 TAU = 2 * math.pi
 RNG_SEED = 314159
@@ -235,6 +242,65 @@ def test_floquet_on_substitution_approximant():
     assert fib.period == 10 and fib.values[:5] == fib.values[5:]
     rep = floquet_discriminant_residual(fib, unit_point(2.2))
     assert rep["q"] == 10 and rep["worst_residual"] < 1e-9
+
+
+def floquet_sequences(rng, q):
+    """Real and complex coefficient sequences of period q, and a complex one
+    with signed zeros at every third site."""
+    zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)]
+    signed = list(random_alphas(rng, q, 0.5).values)
+    signed[::3] = [zeros[i] for i in rng.integers(0, len(zeros), len(signed[::3]))]
+    return [PeriodicAlphas(tuple(rng.uniform(-0.5, 0.5, q))), random_alphas(rng, q, 0.5), PeriodicAlphas(tuple(signed))]
+
+
+@pytest.mark.parametrize("chunk", [CHUNK, 40])  # 40 points: 10 phases per fold at q = 4, one at q >= 34
+@pytest.mark.parametrize("phi_count", [1, 4, 7, 16])
+def test_floquet_phases_in_one_pass_match_phase_by_phase(monkeypatch, phi_count, chunk):
+    monkeypatch.setattr(spectrum, "CHUNK", chunk)
+    rng = np.random.default_rng(RNG_SEED + 6)
+    phis = [unit_point(TAU * k / phi_count) for k in range(phi_count)]
+    # every kind up to q = 34; the real one at 64, the signed-zero one at 144
+    for q, kind in [(q, kind) for q in (4, 6, 10, 34) for kind in range(3)] + [(64, 0), (144, 2)]:
+        alphas = floquet_sequences(rng, q)[kind]
+        assert floquet_discriminant_residual(alphas, phis) == floquet_residuals_phase_by_phase(alphas, phis)
+    # one phase on its own is a batch of length 1
+    assert floquet_discriminant_residual(alphas, phis[-1]) == floquet_residuals_phase_by_phase(alphas, phis[-1:])[0]
+
+
+def phase_drift(alphas, phi):
+    """The determinant drift ``pair_trace`` checks at one phase's unit
+    eigenvalues, in units of q * u."""
+    z0 = build_floquet(alphas, phi).eigenvalues()
+    a, b, e = transfer_product_grid(alphas.alpha, z0 / np.abs(z0), 1, alphas.period)
+    aa, bb = np.abs(a) ** 2, np.abs(b) ** 2
+    drift = np.max(np.abs(aa - bb - np.ldexp(1.0, -2 * np.asarray(e))) / (aa + bb))
+    return float(drift) / (alphas.period * UNIT_ROUNDOFF)
+
+
+@pytest.mark.parametrize("chunk", [CHUNK, 100])  # 100 points: three phases per fold at q = 32
+def test_floquet_drift_failure_names_the_first_failing_phase(monkeypatch, chunk):
+    # the f that exits 3 at Thue-Morse level 8 (ROADMAP defect 2), at level 5,
+    # where every drift is within the bound; with the bound lowered between
+    # the two smallest drifts, the phase of the smallest passes and every
+    # later one fails.  The first to fail has the smallest drift of the
+    # failures and the next the largest, so a check over a whole fold would
+    # name another phase
+    alphas = periodic_approximant(THUE_MORSE, 5, VerblunskyMap(-0.29023768532166183, 0.5705004876213009))
+    drifts = {phi: phase_drift(alphas, phi) for phi in (unit_point(TAU * k / 8) for k in range(8))}
+    phis = sorted(drifts, key=drifts.get)
+    phis[2:] = phis[:1:-1]  # smallest, second smallest, then the largest first
+    low, second = sorted(drifts.values())[:2]
+    assert second > 1.01 * low
+    monkeypatch.setattr(spectrum, "CHUNK", chunk)
+    monkeypatch.setattr(transfer, "DRIFT_PER_SITE", math.sqrt(low * second))
+    with pytest.raises(NumericAssertionError) as alone:
+        floquet_residuals_phase_by_phase(alphas, phis[1:2])
+    with pytest.raises(NumericAssertionError) as by_phase:
+        floquet_residuals_phase_by_phase(alphas, phis)
+    with pytest.raises(NumericAssertionError) as batched:
+        floquet_discriminant_residual(alphas, phis)
+    assert str(batched.value) == str(by_phase.value) == str(alone.value)
+    assert floquet_discriminant_residual(alphas, phis[:1]) == floquet_residuals_phase_by_phase(alphas, phis[:1])
 
 
 def test_trace_bound_connection():

@@ -61,3 +61,25 @@ def test_tracer_sees_the_period_doubling_band_scan(capsys):
     assert code == 0 and '"q": 128' in capsys.readouterr().out
     assert metrics["spectrum.band_scan_self_s"] > 0
     assert metrics["tracemap.trace_a_grid.point_levels"] > 0
+
+
+def test_tracer_sees_the_floquet_check(capsys):
+    # periodic's per-layer figures read these spans and the fold's count: the
+    # operator and its eigensolve run once per phase, the cross-check once per
+    # call, and every phase folds q eigenvalues over q sites
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cmvsubshift.cli.main([
+            "floquet-check", "--rule", "thue-morse", "--level", "5", "--f-a", "0.3", "--f-b=-0.2j",
+            "--phi-count", "3",
+        ])
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert code == 0 and '"q": 32' in capsys.readouterr().out
+    assert metrics["spectrum.build_floquet_s"] > 0
+    assert metrics["spectrum.eigenvalues_s"] > 0
+    assert metrics["spectrum.floquet_residual_self_s"] > 0
+    assert metrics["transfer.transfer_product_grid.point_sites"] == 3 * 32**2

@@ -70,6 +70,11 @@ CONFIGS = [
     ("trace-near-circle", ["trace", "--z", "1.000000009j", "--f-a", "0.5", "--f-b=-0.5"]),
     ("floquet-pd4", ["floquet-check", *PD, "--level", "4", "--phi-count", "8"]),
     ("floquet-fib7", ["floquet-check", "--rule", "fibonacci", "--level", "7", *COMPLEX_F]),
+    # a closed-gap eigenvalue whose product drifts past the bound: exit 3
+    ("floquet-tm8-drift-exit3", ["floquet-check", "--rule", "thue-morse", "--level", "8",
+                                 "--f-a=-0.29023768532166183", "--f-b", "0.5705004876213009"]),
+    ("floquet-tm6-complex-phi7", ["floquet-check", "--rule", "thue-morse", "--level", "6", *COMPLEX_F,
+                                  "--phi-count", "7"]),
     ("gordon-sturmian", ["gordon", "--theta", "golden", "--n", "9", "--mc-samples", "2000", "--seed", "3"]),
     ("gordon-coding", ["gordon", "--theta", "sqrt2-1", "--n", "6", "--mode", "coding",
                        "--interval", "1/10", "2/5"]),
