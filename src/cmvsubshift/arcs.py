@@ -4,11 +4,11 @@ Band spectra live on the unit circle (period 2*pi, float endpoints) and
 Gordon phase sets live on the torus R/Z (period 1, exact Fraction/Quadratic
 endpoints).  One container serves both: endpoints may be any totally ordered
 numeric type closed under subtraction, and all set algebra (merge, complement,
-intersection, measure) stays in that type.  Construction from sweeps sorts
-(a plain sort, exact comparisons for exact endpoints) and merges once;
-complement and intersection then work on the sorted disjoint arcs directly
-(one pass, no re-sorting).  Float sweeps held in arrays, as the band scan
-has them, go through ``from_sweeps``, the same operations on whole arrays
+measure) stays in that type.  Construction from sweeps sorts (a plain sort,
+exact comparisons for exact endpoints) and merges once; the complement then
+works on the sorted disjoint arcs directly (one pass, no re-sorting).  Float
+sweeps held in arrays, as the band scan has them, go through
+``from_sweeps``, the same operations on whole arrays
 with the same bits.  A builder that already has the arcs in normal
 form, as ``gordon`` has them in circle order, wraps them without any
 comparison (``_from_normal_form``), with its measure if it knows it and
@@ -235,14 +235,6 @@ class ArcSet:
 
     # -- set algebra ---------------------------------------------------------
 
-    def _check_same_circle(self, other: "ArcSet"):
-        if self.period != other.period:
-            raise ValidationError("arc sets live on circles of different periods")
-
-    def union(self, other: "ArcSet") -> "ArcSet":
-        self._check_same_circle(other)
-        return ArcSet(list(self.arcs) + list(other.arcs), self.period)
-
     def complement(self) -> "ArcSet":
         """The gaps between consecutive arcs; only the gap that wraps past
         zero is split, into [0, first lo) and [last hi, period)."""
@@ -259,25 +251,6 @@ class ArcSet:
             gaps.append((last_hi, self.period))
         measure = None if self._measure is None else self.period - self._measure
         return ArcSet._from_normal_form(gaps, self.period, measure)
-
-    def intersect(self, other: "ArcSet") -> "ArcSet":
-        """Two-pointer sweep over both sorted arc lists."""
-        self._check_same_circle(other)
-        mine, theirs = self.arcs, other.arcs
-        out = []
-        i = j = 0
-        while i < len(mine) and j < len(theirs):
-            lo1, hi1 = mine[i]
-            lo2, hi2 = theirs[j]
-            lo = lo1 if lo1 >= lo2 else lo2
-            hi = hi1 if hi1 <= hi2 else hi2
-            if lo < hi:
-                out.append((lo, hi))
-            if hi1 <= hi2:
-                i += 1
-            else:
-                j += 1
-        return ArcSet._from_normal_form(out, self.period)
 
     # -- sampling and export ---------------------------------------------------
 

@@ -55,11 +55,12 @@ from .arcs import ArcSet
 from .errors import ValidationError
 from .tracemap import trace_a_grid
 from .transfer import (
-    UNIT_MODULUS_TOL,
     VerblunskyMap,
+    check_unit_z,
     gz_pair,
     pair_mul,
     pair_trace,
+    rho_of,
     theta_matrix,
     transfer_product_grid,
 )
@@ -91,8 +92,8 @@ class PeriodicAlphas:
         vals = tuple(complex(v) for v in self.values)
         if not vals:
             raise ValidationError("periodic coefficient list is empty")
-        if any(abs(v) >= 1.0 for v in vals):
-            raise ValidationError("coefficients must lie strictly inside the unit disk")
+        for v in vals:
+            rho_of(v)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -433,13 +434,6 @@ def floquet_skeleton(alphas: PeriodicAlphas):
     return even_blocks, odd_part, corner
 
 
-def _check_phase(phi: complex) -> complex:
-    phi = complex(phi)
-    if abs(abs(phi) - 1.0) > UNIT_MODULUS_TOL:
-        raise ValidationError("Floquet phase must sit on the unit circle")
-    return phi
-
-
 def build_floquet(alphas: PeriodicAlphas, phi: complex, skeleton=None) -> FloquetOperator:
     """Assemble the twisted one-period CMV operator from 2x2 unitary blocks.
 
@@ -455,7 +449,7 @@ def build_floquet(alphas: PeriodicAlphas, phi: complex, skeleton=None) -> Floque
     phases share them; without it they are built here.
     """
     even_blocks, odd_free, corner = floquet_skeleton(alphas) if skeleton is None else skeleton
-    phi = _check_phase(phi)
+    phi = check_unit_z(complex(phi))
     q = len(odd_free)
     odd_part = odd_free.copy()
     odd_part[q - 1, 0] = corner[0, 1] * phi
@@ -480,7 +474,7 @@ def floquet_discriminant_residual(alphas: PeriodicAlphas, phi):
     raises, as it would alone.
     """
     skeleton = floquet_skeleton(alphas)
-    phis = [_check_phase(p) for p in np.atleast_1d(phi)]
+    phis = [complex(p) for p in check_unit_z(np.atleast_1d(phi))]
     q = alphas.period
     per_fold = max(1, CHUNK // q)
     reports = []

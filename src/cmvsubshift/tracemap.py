@@ -16,10 +16,10 @@ approximating band spectra: once |x_n| > C and y_n > 2 the orbit provably
 escapes, and that escape region is the only instability test used here.
 
 The recursion is written once, in ``iterate_traces``, which runs over arrays
-(a scalar seed is an array of length 1); scalar orbits, grid scans and the
-escape classification all read their levels from it.  Its level-1 seed is
-written once too, in closed form, in ``level_one_traces``: the traces are
-real by construction, and no matrix product is formed.
+(a scalar seed is an array of length 1); scalar orbits and grid scans both
+read their levels from it.  Its level-1 seed is written once too, in closed
+form, in ``level_one_traces``: the traces are real by construction, and no
+matrix product is formed.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .transfer import VerblunskyMap, check_unit_z, rho_of
-
-MAX_CLASSIFY_LEVELS = 512
 
 
 def coupling_constant(f: VerblunskyMap) -> float:
@@ -72,7 +70,6 @@ class TraceOrbit:
     coupling: float
     trace_a: np.ndarray
     trace_b: np.ndarray
-    z: Optional[complex]
 
     @property
     def levels(self) -> int:
@@ -138,12 +135,12 @@ def iterate_traces(x, y, coupling: float, levels: int):
 
 def trace_orbit(z: complex, f: VerblunskyMap, levels: int) -> TraceOrbit:
     """Traces of both block families at z, levels 1..N, via the recursion."""
-    z = check_unit_z(z)
+    z = check_unit_z(complex(z))
     coupling = coupling_constant(f)
     orbit = list(iterate_traces(*level_one_traces(z, f), coupling, levels))
     xs = np.concatenate([x for x, _ in orbit])
     ys = np.concatenate([y for _, y in orbit])
-    return TraceOrbit(coupling, xs, ys, z)
+    return TraceOrbit(coupling, xs, ys)
 
 
 def trace_a_grid(z: np.ndarray, f: VerblunskyMap, level: int) -> np.ndarray:
@@ -151,35 +148,6 @@ def trace_a_grid(z: np.ndarray, f: VerblunskyMap, level: int) -> np.ndarray:
     for x, _ in iterate_traces(*level_one_traces(z, f), coupling_constant(f), level):
         pass
     return x
-
-
-@dataclass(frozen=True)
-class StabilityVerdict:
-    """Escape-region classification of a trace-map orbit."""
-
-    status: str  # "unstable" or "not-decided"
-    first_escape_level: Optional[int]
-    region: Optional[str]  # "positive" / "negative" branch of the escape region
-    levels_checked: int
-
-
-def classify_orbit(
-    x1: float, y1: float, coupling: float, max_levels: int = MAX_CLASSIFY_LEVELS
-) -> StabilityVerdict:
-    """Iterate until the orbit certifiably escapes, or give up undecided.
-
-    Only membership in the invariant escape region (|x| beyond the coupling
-    constant with y > 2) counts as instability; no growth heuristics.
-    """
-    if coupling < 2.0 - 1e-12:
-        raise ValidationError("coupling constant below its lower bound 2")
-    for level, (x, y) in enumerate(iterate_traces(x1, y1, coupling, max_levels), 1):
-        if not (np.isfinite(x[0]) and np.isfinite(y[0])):
-            return StabilityVerdict("not-decided", None, None, level - 1)
-        if _in_escape_region(x[0], y[0], coupling):
-            region = "positive" if x[0] > 0 else "negative"
-            return StabilityVerdict("unstable", level, region, level)
-    return StabilityVerdict("not-decided", None, None, max_levels)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,10 @@ product is a grid of length 1, which ``transfer_product`` expands into its
 2x2 matrix for the Gordon bounds; ``propagate`` steps with ``gz_pair``
 itself.  Coefficients come from a callable ``n -> alpha(n)``
 (``PeriodicAlphas.alpha``, a ``Window``'s ``__getitem__``, a lambda).
+
+Each input rule has one owner, written so that nan fails it: ``rho_of``
+checks |alpha| < 1 for every coefficient map, periodic sequence and site,
+and ``check_unit_z`` checks |z| = 1 for a point or a whole grid at once.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -48,16 +52,20 @@ DRIFT_PER_SITE = 2.0**20
 
 
 def rho_of(alpha: complex) -> float:
+    """sqrt(1 - |alpha|^2): the one check that a coefficient lies strictly
+    inside the unit disk, written so that nan fails it."""
     a2 = abs(alpha) ** 2
-    if a2 >= 1.0:
-        raise ValidationError("Verblunsky coefficient must lie inside the unit disk")
+    if not a2 < 1.0:
+        raise ValidationError("Verblunsky coefficients must lie strictly inside the unit disk")
     return math.sqrt(1.0 - a2)
 
 
-def check_unit_z(z: complex) -> complex:
-    z = complex(z)
-    if abs(abs(z) - 1.0) > UNIT_MODULUS_TOL:
-        raise ValidationError(f"spectral parameter must sit on the unit circle, got |z| = {abs(z)}")
+def check_unit_z(z):
+    """z, a point or an array of points, after the one check that it sits on
+    the unit circle, written so that nan fails it."""
+    worst = np.max(np.abs(np.abs(z) - 1.0))
+    if not worst <= UNIT_MODULUS_TOL:
+        raise ValidationError(f"points must sit on the unit circle, got ||z| - 1| = {worst:.3g}")
     return z
 
 
@@ -74,11 +82,8 @@ class VerblunskyMap:
     alpha_b: complex
 
     def __post_init__(self):
-        for val in (self.alpha_a, self.alpha_b):
-            if abs(val) >= 1.0:
-                raise ValidationError(
-                    "Verblunsky coefficients must lie strictly inside the unit disk"
-                )
+        rho_of(self.alpha_a)
+        rho_of(self.alpha_b)
 
     def alpha(self, letter: str) -> complex:
         if letter == "a":
@@ -86,10 +91,6 @@ class VerblunskyMap:
         if letter == "b":
             return self.alpha_b
         raise ValidationError(f"letter {letter!r} outside alphabet")
-
-    @property
-    def is_constant(self) -> bool:
-        return self.alpha_a == self.alpha_b
 
     def coefficients(self, letters: Union[Word, Window, str], lo: int = 1) -> Window:
         """Map a word (or letter window) to a window of coefficients.
@@ -154,9 +155,7 @@ def pair_mul(left, right):
 def transfer_product_grid(alphas: AlphaSource, z: np.ndarray, lo: int, hi: int):
     """Ordered product over sites lo..hi (last on the left) at unit-circle
     points z, as the pair-form triple (a, b, e)."""
-    z = np.asarray(z, dtype=complex)
-    if np.max(np.abs(np.abs(z) - 1.0)) > UNIT_MODULUS_TOL:
-        raise ValidationError("spectral grid must sit on the unit circle")
+    z = check_unit_z(np.asarray(z, dtype=complex))
     prod = (1.0 + 0j, 0j, 0)
     for n in range(lo, hi + 1):
         prod = pair_mul((*gz_pair(complex(alphas(n)), z, n), 0), prod)
@@ -209,31 +208,16 @@ class SolutionPair:
     u: np.ndarray
     v: np.ndarray
     lo: int
-    z: complex
 
     @property
     def hi(self) -> int:
         return self.lo + len(self.u) - 1
 
-    def _idx(self, n: int) -> int:
+    def norm_at(self, n: int) -> float:
         if not self.lo <= n <= self.hi:
             raise ValidationError(f"site {n} outside solution window [{self.lo}, {self.hi}]")
-        return n - self.lo
-
-    def u_at(self, n: int) -> complex:
-        return complex(self.u[self._idx(n)])
-
-    def v_at(self, n: int) -> complex:
-        return complex(self.v[self._idx(n)])
-
-    def norm_at(self, n: int) -> float:
-        i = self._idx(n)
+        i = n - self.lo
         return math.hypot(abs(self.u[i]), abs(self.v[i]))
-
-    def rows(self) -> Iterable[tuple]:
-        for k in range(len(self.u)):
-            n = self.lo + k
-            yield (n, self.u[k], self.v[k], self.norm_at(n))
 
 
 def propagate(
@@ -246,7 +230,7 @@ def propagate(
     """Apply the product family to a seed at site 0 across sites lo..hi."""
     if lo > 0 or hi < 0:
         raise ValidationError("solution window must contain site 0")
-    z = check_unit_z(z)
+    z = check_unit_z(complex(z))
     s = np.asarray(seed, dtype=complex)
     if s.shape != (2,):
         raise ValidationError("seed must be a pair (u0, v0)")
@@ -264,7 +248,7 @@ def propagate(
         a, b = gz_pair(complex(alphas(n)), z, n)
         state = np.array([[-np.conj(a), b], [np.conj(b), -a]]) @ state
         u[n - 1 - lo], v[n - 1 - lo] = state
-    return SolutionPair(u, v, lo, z)
+    return SolutionPair(u, v, lo)
 
 
 @dataclass(frozen=True)

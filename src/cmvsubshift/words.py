@@ -16,7 +16,6 @@ position j of the sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import ResourceCapError, ValidationError
@@ -30,7 +29,7 @@ DEFAULT_WORD_CAP = 1 << 22
 
 
 class Word:
-    """Immutable word over {a, b} with 1-based positions."""
+    """Immutable word over {a, b}; position n is ``text[n - 1]``."""
 
     __slots__ = ("text",)
 
@@ -48,33 +47,11 @@ class Word:
             raise ValidationError(f"letters outside alphabet: {sorted(bad)}")
         self.text = text
 
-    def letter(self, i: int) -> str:
-        """Letter at 1-based position i."""
-        if not 1 <= i <= len(self.text):
-            raise ValidationError(f"position {i} outside word of length {len(self.text)}")
-        return self.text[i - 1]
-
     def __len__(self):
         return len(self.text)
 
     def __iter__(self):
         return iter(self.text)
-
-    def __eq__(self, other):
-        if isinstance(other, Word):
-            return self.text == other.text
-        if isinstance(other, str):
-            return self.text == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.text)
-
-    def __add__(self, other):
-        return Word(self.text + Word(other).text)
-
-    def startswith(self, other) -> bool:
-        return self.text.startswith(Word(other).text)
 
     def __repr__(self):
         if len(self.text) <= 32:
@@ -233,11 +210,6 @@ class ContinuedFraction:
     @property
     def depth(self) -> int:
         return len(self.a)
-
-    def convergent(self, n: int) -> Fraction:
-        if not 1 <= n < self.depth:
-            raise ValidationError(f"convergent index {n} out of range")
-        return Fraction(self.p[n], self.q[n])
 
 
 def continued_fraction(theta, depth: int) -> ContinuedFraction:

@@ -44,7 +44,7 @@ def site_product(alphas, z, lo, hi):
 
 def word_product(word, z, f):
     """Product over a letter word placed at sites 1..len(word)."""
-    return site_product(lambda n: f.alpha(word.letter(n)), z, 1, len(word))
+    return site_product(lambda n: f.alpha(word.text[n - 1]), z, 1, len(word))
 
 
 def det2(m):

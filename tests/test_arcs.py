@@ -70,16 +70,6 @@ def test_contains_and_contains_many_agree():
         assert s.contains(float(x)) == bool(m)
 
 
-def test_union_intersect():
-    a = ArcSet([(0.0, 0.4)], period=1)
-    b = ArcSet([(0.3, 0.6)], period=1)
-    assert abs(a.union(b).measure - 0.6) < 1e-15
-    inter = a.intersect(b)
-    assert inter.arcs == [(0.3, 0.4)]
-    with pytest.raises(ValidationError):
-        a.union(ArcSet([], period=TAU))
-
-
 def test_invalid_sweeps_rejected():
     with pytest.raises(ValidationError):
         ArcSet([(0.5, 0.2)], period=1)

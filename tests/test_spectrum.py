@@ -37,6 +37,7 @@ from reference import (
 
 TAU = 2 * math.pi
 RNG_SEED = 314159
+NANS = (float("nan"), complex(0.0, float("nan")))  # every comparison with them is False
 
 
 def discriminant_at(z, alphas):
@@ -58,6 +59,9 @@ def test_periodic_alphas_indexing():
         PeriodicAlphas(())
     with pytest.raises(ValidationError):
         PeriodicAlphas((1.0,))
+    for nan in NANS:
+        with pytest.raises(ValidationError, match="unit disk"):
+            PeriodicAlphas((0.1, nan))
 
 
 def test_periodic_approximant_reads_substitution_prefix():
@@ -183,6 +187,11 @@ def test_floquet_operator_structure_and_unitarity():
         build_floquet(PeriodicAlphas((0.1, 0.2)), 1.0)  # q = 2 too small
     with pytest.raises(ValidationError):
         build_floquet(random_alphas(rng, 4), 2.0)  # phase off the circle
+    for nan in NANS:
+        with pytest.raises(ValidationError, match="unit circle"):
+            build_floquet(random_alphas(rng, 4), nan)
+        with pytest.raises(ValidationError, match="unit circle"):
+            floquet_discriminant_residual(random_alphas(rng, 4), [1.0, nan])
 
 
 def test_floquet_eigenvalues_satisfy_band_equation():

@@ -1,6 +1,5 @@
-"""Trace-map layer: coupling constant, block recursion, escape classification."""
+"""Trace-map layer: coupling constant, block recursion, escape region."""
 
-import cmath
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 
 from cmvsubshift.errors import ValidationError
 from cmvsubshift.tracemap import (
-    classify_orbit,
     coupling_constant,
     iterate_traces,
     trace_a_grid,
@@ -46,7 +44,7 @@ def test_coupling_constant_lower_bound_and_equality_case():
         f = random_map(rng)
         c = coupling_constant(f)
         assert c >= 2.0 - 1e-12
-        if f.is_constant:
+        if f.alpha_a == f.alpha_b:
             assert abs(c - 2.0) < 1e-12
 
 
@@ -86,29 +84,6 @@ def test_free_case_orbit():
     assert trace_orbit(unit_point(om), VerblunskyMap(0.0, 0.0), 1).trace_a_at(
         1
     ) == pytest.approx(2 * math.cos(om))
-
-
-def test_classification_frozen_cases():
-    f = VerblunskyMap(0.5, -0.5)
-    orbit = trace_orbit(cmath.exp(2.7j), f, 1)
-    verdict = classify_orbit(orbit.trace_a_at(1), orbit.trace_b_at(1), orbit.coupling)
-    assert verdict.status == "unstable"
-    assert verdict.first_escape_level == 3
-    assert verdict.region == "positive"
-
-    orbit2 = trace_orbit(1.0, VerblunskyMap(0.9, 0.3), 1)
-    verdict2 = classify_orbit(orbit2.trace_a_at(1), orbit2.trace_b_at(1), orbit2.coupling)
-    assert verdict2.first_escape_level == 1
-
-    # boundary fixed point (2, 2) never certifies escape
-    verdict3 = classify_orbit(0.0, 0.0, 2.0, max_levels=64)
-    assert verdict3.status == "not-decided"
-    assert verdict3.first_escape_level is None and verdict3.levels_checked == 64
-
-
-def test_classification_validates_coupling():
-    with pytest.raises(ValidationError):
-        classify_orbit(0.0, 0.0, 1.5)
 
 
 def test_escape_region_is_invariant():

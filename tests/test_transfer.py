@@ -18,6 +18,7 @@ from cmvsubshift.words import Window
 from reference import det2, site_matrix, site_product
 
 RNG_SEED = 20260815
+NANS = (float("nan"), complex(0.0, float("nan")))  # every comparison with them is False
 
 
 def random_disk(rng, n, radius=0.95):
@@ -85,11 +86,11 @@ def test_theta_coupling_links_solution_components():
     for j in range(-8, 11):
         th = theta_matrix(alphas(j))
         if j % 2:  # odd site
-            got = th @ np.array([sol.u_at(j - 1), sol.u_at(j)])
-            want = z * np.array([sol.v_at(j - 1), sol.v_at(j)])
+            got = th @ sol.u[j - 1 - sol.lo : j + 1 - sol.lo]
+            want = z * sol.v[j - 1 - sol.lo : j + 1 - sol.lo]
         else:
-            got = th @ np.array([sol.v_at(j - 1), sol.v_at(j)])
-            want = np.array([sol.u_at(j - 1), sol.u_at(j)])
+            got = th @ sol.v[j - 1 - sol.lo : j + 1 - sol.lo]
+            want = sol.u[j - 1 - sol.lo : j + 1 - sol.lo]
         assert np.allclose(got, want, atol=1e-11)
 
 
@@ -105,11 +106,13 @@ def test_verblunsky_map():
     f = VerblunskyMap(0.5, -0.25j)
     assert f.alpha("a") == 0.5 and f.alpha("b") == -0.25j
     assert abs(rho_of(f.alpha("a")) - np.sqrt(0.75)) < 1e-15
-    assert not f.is_constant and VerblunskyMap(0.1, 0.1).is_constant
     win = f.coefficients("aba")
     assert win.lo == 1 and win[2] == -0.25j
     with pytest.raises(ValidationError):
         VerblunskyMap(1.0, 0.0)
+    for nan in NANS:
+        with pytest.raises(ValidationError, match="unit disk"):
+            VerblunskyMap(0.1, nan)
 
 
 def test_grid_product_matches_scalar_route():
@@ -139,6 +142,11 @@ def test_matrix_inverse_and_validation():
         single_site(1.2, z, 1)
     with pytest.raises(ValidationError):
         propagate(lambda n: 0.2, 1.5 + 0j, (1, 0), 0, 1)
+    for nan in NANS:
+        with pytest.raises(ValidationError, match="unit disk"):
+            transfer_product_grid(lambda n: nan, np.ones(3, dtype=complex), 1, 2)
+        with pytest.raises(ValidationError, match="unit circle"):
+            transfer_product_grid(lambda n: 0.1, np.array([1.0, nan, 1j]), 1, 2)
 
 
 def test_gordon_check_free_case():

