@@ -228,8 +228,13 @@ class ArcSet:
         """How many of xs lie in the set: ``contains_many(xs).sum()``, by two
         binary searches per arc in the sorted samples instead of one per
         sample.  Each arc counts the samples with lo <= x < hi; the float
-        endpoints never decrease, so no sample is counted twice."""
-        v = np.sort(np.asarray(xs, dtype=float) % float(self.period))
+        endpoints never decrease, so no sample is counted twice.  Samples are
+        reduced mod the period (and sorted again) only if one is outside
+        [0, period), nan and inf included: inside, x % period == x (-0.0 == 0.0)."""
+        period = float(self.period)
+        v = np.sort(np.asarray(xs, dtype=float))
+        if v.size and (v[0] < 0.0 or not v[-1] < period):
+            v = np.sort(v % period)
         los, his = self._float_endpoints()
         return int(np.searchsorted(v, his, side="left").sum() - np.searchsorted(v, los, side="left").sum())
 

@@ -3,9 +3,10 @@
 Subcommands cover each pipeline: substitution / coding words, continued
 fractions, band spectra of periodic approximants, trace-map orbits, Gordon
 phase sets, and the Floquet cross-check.  A JSON config file supplies
-defaults; explicit flags win.  Outputs are UTF-8 text (words), CSV (curves,
-orbits), or versioned JSON, and identical config + seed reproduces them
-byte for byte.
+defaults; explicit flags win.  One invocation builds only its own
+subcommand's flags (``build_parser``).  Outputs are UTF-8 text (words), CSV
+(curves, orbits), or versioned JSON, and identical config + seed
+reproduces them byte for byte.
 
 Exit codes: 0 success, 2 usage or validation (an --output, --curve or
 --config path that cannot be opened included), 3 numeric assertion,
@@ -307,6 +308,8 @@ def _resolve_periodic(cfg: RunConfig):
         q = cfg.require("period")
         if q < 4 or q % 2:
             raise ValidationError("free mode needs an even period >= 4")
+        if q > DEFAULT_WORD_CAP:
+            raise ResourceCapError(f"free period {q} exceeds cap of {DEFAULT_WORD_CAP} sites")
         return PeriodicAlphas((0j,) * q), {"rule": "free", "q": q}
     rule_name = cfg.require("rule")
     rule = _named_rule(rule_name)
@@ -416,70 +419,86 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with default values for any flag")
-    common.add_argument("--output", help="write the result here instead of stdout")
-    common.add_argument("--seed", type=int, help="seed for any sampling (default 0)")
+_COMMON = (
+    ("--config", {"help": "JSON file with default values for any flag"}),
+    ("--output", {"help": "write the result here instead of stdout"}),
+    ("--seed", {"type": int, "help": "seed for any sampling (default 0)"}),
+)
+_SOURCE = (  # the coefficients of spectrum and floquet-check
+    ("--rule", {"help": "named substitution rule"}),
+    ("--level", {"type": int, "help": "approximant level"}),
+    ("--f-a", {"help": "coefficient at letter a"}),
+    ("--f-b", {"help": "coefficient at letter b"}),
+    ("--free", {"action": "store_const", "const": True, "help": "all-zero coefficients"}),
+    ("--period", {"type": int, "help": "period for --free (even, >= 4)"}),
+)
+_TRACE_HELP = (
+    "trace-map orbit as CSV; rows stop at the last level where both traces are "
+    "finite (an orbit that overflows has escaped before it does)"
+)
 
-    source = argparse.ArgumentParser(add_help=False)  # the coefficients of spectrum and floquet-check
-    source.add_argument("--rule", help="named substitution rule")
-    source.add_argument("--level", type=int, help="approximant level")
-    source.add_argument("--f-a", help="coefficient at letter a")
-    source.add_argument("--f-b", help="coefficient at letter b")
-    source.add_argument("--free", action="store_const", const=True, help="all-zero coefficients")
-    source.add_argument("--period", type=int, help="period for --free (even, >= 4)")
+# each subcommand's help line, its description, and its flags in --help order
+_SUBCOMMANDS = {
+    "word": ("substitution or coding words", None, _COMMON + (
+        ("--rule", {"help": "named substitution rule"}),
+        ("--letter", {"choices": ("a", "b"), "help": "seed letter (default a)"}),
+        ("--level", {"type": int, "help": "number of substitution steps"}),
+        ("--cap", {"type": int, "help": "refuse words longer than this"}),
+        ("--sturmian", {"action": "store_const", "const": True, "help": "rotation coding instead"}),
+        ("--theta", {"help": "rotation number (golden, sqrt2-1, or a decimal)"}),
+        ("--beta", {"help": "phase of the coding"}),
+        ("--range", {"dest": "positions", "metavar": "LO..HI", "help": "positions to print"}),
+    )),
+    "cf": ("continued-fraction data", None, _COMMON + (
+        ("--theta", {"help": "rotation number"}),
+        ("--depth", {"type": int, "help": "number of quotients to produce"}),
+    )),
+    "spectrum": ("band arcs of a periodic approximant", None, _COMMON + _SOURCE + (
+        ("--resolution", {"type": int, "help": "angles in the initial scan grid"}),
+        ("--curve", {"help": "also write discriminant samples (CSV) here"}),
+    )),
+    "trace": (_TRACE_HELP, _TRACE_HELP, _COMMON + (
+        ("--f-a", {"help": "coefficient at letter a"}),
+        ("--f-b", {"help": "coefficient at letter b"}),
+        ("--z", {"help": "spectral parameter on the unit circle"}),
+        ("--levels", {"type": int, "help": "orbit length (default 10)"}),
+    )),
+    "gordon": ("admissible phase arcs and bound", None, _COMMON + (
+        ("--theta", {"help": "rotation number"}),
+        ("--n", {"dest": "index", "type": int, "help": "continued-fraction index"}),
+        ("--mode", {"choices": ("sturmian", "coding"), "help": "coding arc family"}),
+        ("--interval", {"nargs": 2, "metavar": ("LO", "HI"), "help": "arc for coding mode"}),
+        ("--mc-samples", {"type": int, "help": "Monte-Carlo membership samples"}),
+    )),
+    "floquet-check": ("Floquet vs discriminant residuals", None, _COMMON + _SOURCE + (
+        ("--phi-count", {"type": int, "help": "evenly spaced skew angles (default 16)"}),
+    )),
+}
 
+
+def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The parser of one invocation of ``command``.  Every subcommand is
+    registered with its help line, for the top-level help and errors, but
+    only ``command`` gets its flags, ``-h`` included: each flag costs
+    argparse a help formatter, and no other subcommand's parser is invoked."""
     parser = argparse.ArgumentParser(
         prog="cmvsubshift",
         description="Spectral experiments for CMV operators over subshifts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_word = sub.add_parser("word", parents=[common], help="substitution or coding words")
-    p_word.add_argument("--rule", help="named substitution rule")
-    p_word.add_argument("--letter", choices=("a", "b"), help="seed letter (default a)")
-    p_word.add_argument("--level", type=int, help="number of substitution steps")
-    p_word.add_argument("--cap", type=int, help="refuse words longer than this")
-    p_word.add_argument("--sturmian", action="store_const", const=True, help="rotation coding instead")
-    p_word.add_argument("--theta", help="rotation number (golden, sqrt2-1, or a decimal)")
-    p_word.add_argument("--beta", help="phase of the coding")
-    p_word.add_argument("--range", dest="positions", metavar="LO..HI", help="positions to print")
-
-    p_cf = sub.add_parser("cf", parents=[common], help="continued-fraction data")
-    p_cf.add_argument("--theta", help="rotation number")
-    p_cf.add_argument("--depth", type=int, help="number of quotients to produce")
-
-    p_spec = sub.add_parser("spectrum", parents=[common, source], help="band arcs of a periodic approximant")
-    p_spec.add_argument("--resolution", type=int, help="angles in the initial scan grid")
-    p_spec.add_argument("--curve", help="also write discriminant samples (CSV) here")
-
-    trace_help = (
-        "trace-map orbit as CSV; rows stop at the last level where both traces are "
-        "finite (an orbit that overflows has escaped before it does)"
-    )
-    p_trace = sub.add_parser("trace", parents=[common], help=trace_help, description=trace_help)
-    p_trace.add_argument("--f-a", help="coefficient at letter a")
-    p_trace.add_argument("--f-b", help="coefficient at letter b")
-    p_trace.add_argument("--z", help="spectral parameter on the unit circle")
-    p_trace.add_argument("--levels", type=int, help="orbit length (default 10)")
-
-    p_gordon = sub.add_parser("gordon", parents=[common], help="admissible phase arcs and bound")
-    p_gordon.add_argument("--theta", help="rotation number")
-    p_gordon.add_argument("--n", dest="index", type=int, help="continued-fraction index")
-    p_gordon.add_argument("--mode", choices=("sturmian", "coding"), help="coding arc family")
-    p_gordon.add_argument("--interval", nargs=2, metavar=("LO", "HI"), help="arc for coding mode")
-    p_gordon.add_argument("--mc-samples", type=int, help="Monte-Carlo membership samples")
-
-    p_flo = sub.add_parser("floquet-check", parents=[common, source], help="Floquet vs discriminant residuals")
-    p_flo.add_argument("--phi-count", type=int, help="evenly spaced skew angles (default 16)")
-
+    for name, (help_line, description, flags) in _SUBCOMMANDS.items():
+        p_sub = sub.add_parser(name, help=help_line, description=description, add_help=name == command)
+        if name == command:
+            for flag, options in flags:
+                p_sub.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # no top-level flag takes a value: argparse dispatches to the first command named
+    command = next((arg for arg in argv if arg in _SUBCOMMANDS), None)
+    args = build_parser(command).parse_args(argv)
     try:
         cfg = merge_config(args)
         text = _HANDLERS[cfg.command](cfg)

@@ -143,6 +143,22 @@ def test_count_contained_equals_contains_many(data, exact):
     assert s.count_contained(xs) == int(s.contains_many(xs).sum())
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data(), exact=st.booleans(), with_period=st.booleans())
+def test_count_contained_on_samples_inside_the_period(data, exact, with_period):
+    # samples in [0, period) are counted unreduced; one sample equal to the
+    # period sends them all through the reduction
+    s = data.draw(exact_arc_sets() if exact else float_arc_sets())
+    period = float(s.period)
+    xs = [-0.0, 0.0, np.nextafter(period, 0.0)]
+    for x in (*s._float_endpoints()[0], *s._float_endpoints()[1]):
+        xs += [y for y in (x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)) if 0.0 <= y < period]
+    if with_period:
+        xs.append(period)
+    xs = np.array(xs)
+    assert s.count_contained(xs) == int(s.contains_many(xs).sum())
+
+
 def reference_monte_carlo(arcs, samples, rng):
     """monte_carlo_measure with its hits counted by contains_many."""
     xs = rng.uniform(0.0, float(arcs.period), samples)

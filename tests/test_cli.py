@@ -506,6 +506,19 @@ def test_path_that_cannot_be_opened_is_usage_error(capsys, tmp_path, flag):
     assert err.startswith("error: ") and path in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["spectrum", "floquet-check"])
+def test_free_period_past_word_cap_is_resource_exit(capsys, monkeypatch, command):
+    # refused before any coefficient is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("coefficients built past the cap")
+
+    monkeypatch.setattr(cli, "PeriodicAlphas", no_build)
+    period = cli.DEFAULT_WORD_CAP + 2
+    code, out, err = run_cli(capsys, command, "--free", "--period", str(period))
+    assert (code, out) == (cli.EXIT_RESOURCE, "")
+    assert err.startswith("resource cap hit: ") and err.count("\n") == 1 and str(period) in err
+
+
 def test_out_of_memory_is_resource_exit(capsys, monkeypatch):
     # a level-16 period-doubling operator would need 64 GiB; the builder
     # raises at once here instead of allocating

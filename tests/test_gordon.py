@@ -397,12 +397,16 @@ def test_gordon_cli_outputs_match_pinned_hashes():
     # every config whose bytes are the same on every platform: the Gordon
     # sets, words and continued fractions come from exact arithmetic and
     # PCG64; the float configs stay out, as libm and BLAS may differ in the
-    # last bits.  A subprocess, so that the "q_n is odd" warnings the hashes
-    # cover reach stderr instead of pytest's warning capture
+    # last bits.  The help and usage texts guard the parser, which builds
+    # only the invoked subcommand's flags; they are argparse's wording, so
+    # they hold for one Python minor version.  A subprocess, so that the
+    # "q_n is odd" warnings the hashes cover reach stderr instead of
+    # pytest's warning capture
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "tools", "pinned_outputs.txt"), encoding="utf-8") as fh:
         names = [line.split()[1] for line in fh]
-    names = [name for name in names if name.startswith(("gordon-", "word-")) or name == "cf"]
+    exact = ("gordon-", "word-", "help", "usage-")
+    names = [name for name in names if name.startswith(exact) or name == "cf"]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(

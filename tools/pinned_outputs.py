@@ -31,6 +31,7 @@ import os
 import re
 import sys
 import tempfile
+from unittest import mock
 
 PD = ["--rule", "period-doubling", "--f-a", "0.3", "--f-b=-0.3"]
 COMPLEX_F = ["--f-a", "0.25+0.1j", "--f-b=-0.2j"]
@@ -100,20 +101,35 @@ CONFIGS = [
     # bad arcs 8e-20 wide: the float endpoints run 0.0 ... 1.0, and only the
     # exact ones tell that no arc crosses 0
     ("gordon-subfloat-wrap", ["gordon", "--theta", "0.25000000000000000001", "--n", "3"]),
+    # help and usage errors: argparse prints them and raises SystemExit
+    ("help", ["--help"]),
+    *((f"help-{command}", [command, "--help"])
+      for command in ("word", "cf", "spectrum", "trace", "gordon", "floquet-check")),
+    ("usage-unknown-command", ["bogus"]),
+    ("usage-no-command", []),
+    ("usage-unknown-flag", ["spectrum", "--bogus"]),
+    ("usage-bad-choice", ["gordon", "--mode", "x"]),
 ]
 PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pinned_outputs.txt")
 
 
 def run_config(cli, argv, workdir):
-    """Exit code, stdout, stderr and curve text of one in-process CLI run."""
+    """Exit code, stdout, stderr and curve text of one in-process CLI run.
+    Help and usage errors leave argparse by SystemExit, whose code is the
+    exit code; COLUMNS is fixed meanwhile, so that help wraps the same on
+    every terminal."""
     argv = list(argv)
     curve_path = None
-    if argv[-1] == "--curve":
+    if argv and argv[-1] == "--curve":
         curve_path = os.path.join(workdir, "curve.csv")
         argv.append(curve_path)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    try:
+        with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     # warnings name the source file; drop the checkout's location from them
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     err_text = err.getvalue().replace(package_root + os.sep, "")
