@@ -8,22 +8,23 @@ measure) stays in that type.  Construction from sweeps sorts (a plain sort,
 exact comparisons for exact endpoints) and merges once; the complement then
 works on the sorted disjoint arcs directly (one pass, no re-sorting).  Float
 sweeps held in arrays, as the band scan has them, go through
-``from_sweeps``, the same operations on whole arrays
-with the same bits.  A builder that already has the arcs in normal
-form, as ``gordon`` has them in circle order, wraps them without any
-comparison (``_from_normal_form``), with its measure if it knows it and
-its float endpoints if it has rounded them itself; a complement carries
-the known measure over.  Otherwise the measure is summed once per set.
-In place of the list, the builder may hand over an object whose slices
-build the arcs they hold (``gordon``'s numerator arrays); ``count`` and the
-JSON export read only its length and its first and last arc.  Floats appear
-only when a caller asks for them (JSON export, sampling, membership), and
-each endpoint is converted to a float once per set unless the code that
-built the set handed its floats over.  Rounding is monotone,
-so the float endpoints of a set in normal form never decrease, and samples
-can be counted with two binary searches per arc (``count_contained``).  An
-arc across 0 is stored as two pieces, [0, hi) and [lo, period); ``count``
-is the number of pieces, the JSON "count" the number of arcs on the circle.
+``from_sweeps``, the same operations on whole arrays with the same bits;
+the set keeps the two endpoint arrays and lists the arcs only if a caller
+reads them.  A builder that already has the arcs in normal form, as
+``gordon`` has them in circle order, wraps them without any comparison
+(``_from_normal_form``), with its measure if it knows it and its float
+endpoints if it has rounded them itself; a complement carries the known
+measure over.  Otherwise the measure is summed once per set.  In place of
+the list, the builder may hand over an object whose slices build the arcs
+they hold (``gordon``'s numerator arrays); ``count`` and the JSON export
+read only its length and its first and last arc.  Floats appear only when
+a caller asks for them (JSON export, sampling, membership), as two float64
+arrays built once per set, unless the builder handed its own over.
+Rounding is monotone, so the float endpoints of a set in normal form never
+decrease, and samples can be counted with two binary searches per arc
+(``count_contained``).  An arc across 0 is stored as two pieces, [0, hi)
+and [lo, period); ``count`` is the number of pieces, the JSON "count" the
+number of arcs on the circle.
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ class ArcSet:
         """Wrap arcs already in the normal form __init__ produces (sorted,
         disjoint, non-touching, in [0, period]), as a list or a sized object
         whose slices list them.  ``measure``, when given, is their length;
-        ``floats`` the lists ([float(lo), ...], [float(hi), ...])."""
+        ``floats`` the float64 arrays of (float(lo), ...) and (float(hi), ...).
+        Float arcs may come as one (n, 2) float64 array of their endpoints."""
         out = object.__new__(cls)
         out.period = period
         out._arcs = arcs
@@ -164,15 +166,16 @@ class ArcSet:
         ends[:-1] = starts[1:]
         los, his = los[starts], his[ends]
         measure = float(np.cumsum(his - los)[-1]) if len(los) else 0
-        floats = (los.tolist(), his.tolist())
-        return cls._from_normal_form(list(zip(*floats)), period, measure, floats)
+        return cls._from_normal_form(np.column_stack((los, his)), period, measure, (los, his))
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def arcs(self) -> List[Tuple]:
         """The arcs as a list, built once from what the builder handed over."""
-        if not isinstance(self._arcs, list):
+        if isinstance(self._arcs, np.ndarray):
+            self._arcs = list(map(tuple, self._arcs.tolist()))
+        elif not isinstance(self._arcs, list):
             self._arcs = self._arcs[:]
         return self._arcs
 
@@ -207,16 +210,16 @@ class ArcSet:
                 break
         return False
 
-    def _float_endpoints(self) -> Tuple[List[float], List[float]]:
-        """Arc endpoints as floats, converted once per set."""
+    def _float_endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Arc endpoints as two float64 arrays, built once per set."""
         if self._floats is None:
-            self._floats = ([float(lo) for lo, _ in self.arcs], [float(hi) for _, hi in self.arcs])
+            self._floats = tuple(np.array([float(arc[k]) for arc in self.arcs], dtype=float) for k in (0, 1))
         return self._floats
 
     def contains_many(self, xs: Sequence[float]) -> np.ndarray:
         """Vectorized float membership against the float endpoints."""
         v = np.asarray(xs, dtype=float) % float(self.period)
-        los, his = (np.array(e, dtype=float) for e in self._float_endpoints())
+        los, his = self._float_endpoints()
         if los.size == 0:
             return np.zeros(v.shape, dtype=bool)
         idx = np.searchsorted(los, v, side="right") - 1
@@ -262,32 +265,32 @@ class ArcSet:
     def sample_interior(self, count: int, margin, rng) -> np.ndarray:
         """Deterministic (seeded-rng) samples strictly inside the arcs,
         at least ``margin`` away from every endpoint."""
-        los, his = [], []
-        for lo, hi in zip(*self._float_endpoints()):
-            flo, fhi = lo + float(margin), hi - float(margin)
-            if fhi > flo:
-                los.append(flo)
-                his.append(fhi)
-        if not los:
+        los, his = self._float_endpoints()
+        los, his = los + float(margin), his - float(margin)
+        keep = his > los
+        los, his = los[keep], his[keep]
+        if not los.size:
             raise ValidationError("no arc interior survives the requested margin")
-        los = np.array(los)
-        his = np.array(his)
         weights = his - los
         weights = weights / weights.sum()
         which = rng.choice(len(los), size=count, p=weights)
         return los[which] + rng.uniform(0.0, 1.0, count) * (his[which] - los[which])
 
-    def as_dict(self) -> dict:
+    def as_dict(self, arc_list=None) -> dict:
         """JSON form.  "count" is the number of arcs on the circle: an arc
-        across 0, stored as [0, hi) and [lo, period), counts once (exactly)."""
+        across 0, stored as [0, hi) and [lo, period), counts once (exactly).
+        ``arc_list``, when given, stands in for the list of arcs."""
         count = len(self._arcs)
         if count >= 2 and self._arcs[:1][0][0] == 0 and self._arcs[-1:][0][1] == self.period:
             count -= 1
+        if arc_list is None:
+            los, his = (e.tolist() for e in self._float_endpoints())
+            arc_list = [{"lo": lo, "hi": hi} for lo, hi in zip(los, his)]
         return {
             "period": float(self.period),
             "count": count,
             "measure": float(self.measure),
-            "arcs": [{"lo": lo, "hi": hi} for lo, hi in zip(*self._float_endpoints())],
+            "arcs": arc_list,
         }
 
     def __repr__(self):

@@ -5,8 +5,8 @@ fractions, band spectra of periodic approximants, trace-map orbits, Gordon
 phase sets, and the Floquet cross-check.  A JSON config file supplies
 defaults; explicit flags win.  One invocation builds only its own
 subcommand's flags (``build_parser``).  Outputs are UTF-8 text (words), CSV
-(curves, orbits), or versioned JSON, and identical config + seed
-reproduces them byte for byte.
+(curves, orbits), or versioned JSON, all written by ``_json_text``, and
+identical config + seed reproduces them byte for byte.
 
 Exit codes: 0 success, 2 usage or validation (an --output, --curve or
 --config path that cannot be opened included), 3 numeric assertion,
@@ -21,13 +21,12 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import chain
-from operator import itemgetter
 from typing import Optional, Tuple
 
 import numpy as np
 
 from . import floatfmt
+from .arcs import ArcSet
 from .errors import NumericAssertionError, ResourceCapError, ValidationError
 from .gordon import gordon_set, monte_carlo_measure
 from .quadratic import parse_theta
@@ -54,7 +53,9 @@ EXIT_NUMERIC = 3
 EXIT_RESOURCE = 4
 
 _COMPLEX_KEYS = ("f_a", "f_b", "z")
-_HI_LO = itemgetter("hi", "lo")  # an arc's endpoints in json.dumps' key order
+# stands where a payload's arc list goes; no payload string holds a NUL:
+# argv cannot carry one, and a config file's theta, rule and mode are checked first
+_ARC_LIST = "\0arc list"
 
 
 # ---------------------------------------------------------------------------
@@ -213,54 +214,24 @@ def _named_rule(name: str):
     return NAMED_RULES[name]
 
 
-def _json_value(value, pad: str) -> str:
-    """``value`` as json.dumps(indent=2, sort_keys=True) writes it at
-    indentation ``pad``.  Dicts with string keys are walked here, so that
-    every "arcs" list of {"lo", "hi"} floats is rendered directly; any other
-    value is left to json.dumps."""
+def _json_text(payload: dict, arcs: Optional[ArcSet] = None) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True) and a newline.  Where the
+    payload holds ``_ARC_LIST``, the arc list of ``arcs`` is spliced in at
+    that line's indentation: one ``floatfmt.rows`` call formats its float64
+    endpoints, byte for byte as json.dumps writes a float
+    (``float.__repr__``), without json's pure-Python indenting encoder."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if arcs is None:
+        return text
+    head, _, tail = text.partition(json.dumps(_ARC_LIST))
+    los, his = arcs._float_endpoints()
+    if not len(los):
+        return head + "[]" + tail
+    line = head[head.rfind("\n") + 1 :]
+    pad = line[: len(line) - len(line.lstrip(" "))]
     inner = pad + "  "
-    if type(value) is dict and value and all(type(key) is str for key in value):
-        items = []
-        for key in sorted(value):
-            item = value[key]
-            text = _arc_list_text(item, inner) if key == "arcs" else None
-            items.append(f"{inner}{json.dumps(key)}: {text or _json_value(item, inner)}")
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if value is None or isinstance(value, (str, int, float)):
-        return json.dumps(value)  # a scalar: indentation and key order do not apply
-    # nested levels of json's own output shift by the outer indentation
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-
-
-def _arc_list_text(arcs, pad: str) -> Optional[str]:
-    """A non-empty list of {"lo", "hi"} dicts of finite floats as json.dumps
-    writes it at indentation ``pad``; None for anything else.  The endpoints
-    are formatted in blocks by ``floatfmt.rows``, whose bytes are
-    ``float.__repr__``'s, as json.dumps writes a float."""
-    if type(arcs) is not list or not arcs or set(map(type, arcs)) != {dict} or set(map(len, arcs)) != {2}:
-        return None
-    try:
-        ends = list(chain.from_iterable(map(_HI_LO, arcs)))
-    except KeyError:
-        return None
-    if set(map(type, ends)) != {float}:
-        return None  # json.dumps spells float subclasses its own way
-    ends = np.array(ends)
-    if not np.isfinite(ends).all():
-        return None  # and nan and inf
-    inner = pad + "  "
-    head, middle, tail = f'{inner}{{\n{inner}  "hi": ', f',\n{inner}  "lo": ', f"\n{inner}}},\n"
-    body = floatfmt.rows([head, ends[0::2], middle, ends[1::2], tail])
-    return "[\n" + body[:-2] + "\n" + pad + "]"
-
-
-def _json_text(payload: dict) -> str:
-    """The bytes of json.dumps(payload, indent=2, sort_keys=True) + newline,
-    with the arc lists (the bulk of a band or Gordon payload) written
-    directly instead of through json's pure-Python indenting encoder: their
-    endpoints are formatted in blocks by ``floatfmt``, byte for byte as
-    ``float.__repr__`` writes them."""
-    return _json_value(payload, "") + "\n"
+    body = floatfmt.rows([f'{inner}{{\n{inner}  "hi": ', his, f',\n{inner}  "lo": ', los, f"\n{inner}}},\n"])
+    return f"{head}[\n{body[:-2]}\n{pad}]{tail}"
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -282,7 +253,7 @@ def cmd_word(cfg: RunConfig) -> str:
         beta = _parse_phase(cfg.require("beta"))
         lo, hi = _parse_positions(cfg.require("positions"))
         coding = sturmian_coding(theta, beta)
-        return coding.window(lo, hi).text() + "\n"
+        return coding.window(lo, hi, cap=cfg.cap).text() + "\n"
     rule = _named_rule(cfg.require("rule"))
     word = substitution_word(rule, cfg.letter, cfg.require("level"), cap=cfg.cap)
     return word.text + "\n"
@@ -352,7 +323,7 @@ def cmd_spectrum(cfg: RunConfig) -> str:
     if cfg.curve is not None:
         _write_curve(cfg, disc.sample)
     payload = {"schema": SCHEMA, "resolution": cfg.resolution, **meta, "q": disc.period}
-    return _json_text({**payload, **arcs.as_dict()})
+    return _json_text({**payload, **arcs.as_dict(_ARC_LIST)}, arcs)
 
 
 def cmd_trace(cfg: RunConfig) -> str:
@@ -372,11 +343,11 @@ def cmd_gordon(cfg: RunConfig) -> str:
     if cfg.interval is not None:
         interval = tuple(_parse_phase(x) for x in cfg.interval)
     report = gordon_set(theta, cfg.require("index"), mode=cfg.mode, interval=interval)
-    payload = {"schema": SCHEMA, "theta": str(cfg.theta), **report.as_dict()}
+    payload = {"schema": SCHEMA, "theta": str(cfg.theta), **report.as_dict(_ARC_LIST)}
     if cfg.mc_samples:
         rng = np.random.default_rng(cfg.seed)
         payload["monte_carlo"] = monte_carlo_measure(report.arcs, cfg.mc_samples, rng)
-    return _json_text(payload)
+    return _json_text(payload, report.arcs)
 
 
 def cmd_floquet_check(cfg: RunConfig) -> str:

@@ -267,19 +267,18 @@ def _round_numerators(a, b, den: int, d: int):
     return f, 2 * (off + bound) < gap
 
 
-def _endpoint_floats(a, b, den: int, d: int) -> list:
-    """float((a[k] + b[k]*sqrt(d)) / den) for every k: one int division for a
-    rational, rounded on the arrays where certified, and from the exact
-    value everywhere else."""
+def _endpoint_floats(a, b, den: int, d: int) -> np.ndarray:
+    """float((a[k] + b[k]*sqrt(d)) / den) for every k, as a float64 array:
+    one int division for a rational, rounded on the arrays where certified,
+    and from the exact value everywhere else."""
     if d == 0:
-        return [x / den for x in a.tolist()]  # int true division rounds correctly
+        return np.array([x / den for x in a.tolist()], dtype=float)  # int true division rounds correctly
     if a.dtype != np.int64 or den >= 1 << 53:
-        return [float(x) for x in _quadratics(a, b, den, d)]
+        return np.array([float(x) for x in _quadratics(a, b, den, d)], dtype=float)
     f, certified = _round_numerators(a, b, den, d)
-    out = f.tolist()
     for k in np.flatnonzero(~certified).tolist():
-        out[k] = float(_make(int(a[k]), int(b[k]), den, d))
-    return out
+        f[k] = float(_make(int(a[k]), int(b[k]), den, d))
+    return f
 
 
 class _ExactArcs:
@@ -389,7 +388,8 @@ class GordonReport:
     bound_kind: str
     applicable: bool  # the repetition argument needs q_n even
 
-    def as_dict(self) -> dict:
+    def as_dict(self, arc_list=None) -> dict:
+        """JSON form, the arcs' as ``ArcSet.as_dict(arc_list)`` writes it."""
         return {
             "mode": self.mode,
             "index": self.index,
@@ -400,7 +400,7 @@ class GordonReport:
             "bound": self.bound,
             "bound_kind": self.bound_kind,
             "applicable": self.applicable,
-            "arcs": self.arcs.as_dict(),
+            "arcs": self.arcs.as_dict(arc_list),
         }
 
 

@@ -107,17 +107,11 @@ class PeriodicAlphas:
 def periodic_approximant(
     rule: SubstitutionRule, level: int, f: VerblunskyMap
 ) -> PeriodicAlphas:
-    """Coefficients read off the level-n substitution prefix, repeated.
-
-    Band computations need an even period, so a prefix of odd length q is
-    repeated twice and the approximant has period 2q.
-    """
-    if level < 2:
-        raise ValidationError("approximant level must be >= 2")
-    values = tuple(f.alpha(c) for c in fixed_point_prefix(rule, level))
-    if len(values) % 2:
-        values *= 2
-    return PeriodicAlphas(values)
+    """Coefficients read off the level-n substitution prefix, repeated to the
+    approximant's period q (``approximant_lengths``)."""
+    q, _ = approximant_lengths(rule, level)
+    prefix = tuple(f.alpha(c) for c in fixed_point_prefix(rule, level))
+    return PeriodicAlphas(prefix * (q // len(prefix)))
 
 
 def discriminant_grid(z: np.ndarray, alphas: PeriodicAlphas) -> np.ndarray:
@@ -130,7 +124,7 @@ def discriminant_grid(z: np.ndarray, alphas: PeriodicAlphas) -> np.ndarray:
 
 def approximant_lengths(rule: SubstitutionRule, level: int):
     """(period, parity) of the level-n approximant without building its word: q = |S^n(a)|,
-    doubled when odd as in ``periodic_approximant``, and parity[m][c] = |S^m(c)| mod 2."""
+    doubled when odd (band computations need an even period), and parity[m][c] = |S^m(c)| mod 2."""
     if level < 2:
         raise ValidationError("approximant level must be >= 2")
     lengths, parity = {"a": 1, "b": 1}, [{"a": 1, "b": 1}]

@@ -178,9 +178,13 @@ class RotationCoding:
     def letter(self, n: int) -> str:
         return "a" if self.arc_contains(self.position(n)) else "b"
 
-    def window(self, lo: int, hi: int) -> "Window":
+    def window(self, lo: int, hi: int, cap: int = DEFAULT_WORD_CAP) -> "Window":
+        """Positions lo ... hi; more than ``cap`` of them are refused before
+        any letter is computed."""
         if hi < lo:
             raise ValidationError("window range is empty")
+        if hi - lo + 1 > cap:
+            raise ResourceCapError(f"coding window of {hi - lo + 1} letters exceeds cap of {cap} letters")
         return Window([self.letter(n) for n in range(lo, hi + 1)], lo)
 
 

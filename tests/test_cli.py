@@ -10,14 +10,14 @@ import sys
 import numpy as np
 import pytest
 
-from cmvsubshift import cli, spectrum
+from cmvsubshift import cli, floatfmt, spectrum
 from cmvsubshift.arcs import ArcSet
 from cmvsubshift.gordon import gordon_set, monte_carlo_measure
 from cmvsubshift.quadratic import GOLDEN_MEAN
 from cmvsubshift.spectrum import CHUNK, Discriminant, build_floquet, periodic_approximant
 from cmvsubshift.tracemap import trace_a_grid
 from cmvsubshift.transfer import VerblunskyMap
-from cmvsubshift.words import FIBONACCI, sturmian_coding
+from cmvsubshift.words import FIBONACCI, RotationCoding, sturmian_coding
 
 
 def run_cli(capsys, *argv):
@@ -373,45 +373,47 @@ def test_gordon_coding_arc_of_zero_length_is_usage_error(capsys, interval):
     assert "positive length" in err
 
 
-def _gordon_payload():
+def _spectrum_case(arcs):
+    """(payload with the marker, arcs, the payload json.dumps writes) of a spectrum run."""
+    head = {"schema": "v1", "resolution": 64, "rule": "period-doubling", "level": 7, "q": 128}
+    return {**head, **arcs.as_dict(cli._ARC_LIST)}, arcs, {**head, **arcs.as_dict()}
+
+
+def _gordon_case():
     report = gordon_set(GOLDEN_MEAN, 12)
-    payload = {"schema": "v1", "theta": "golden", **report.as_dict()}
-    payload["monte_carlo"] = monte_carlo_measure(report.arcs, 5000, np.random.default_rng(3))
-    return payload
+    monte_carlo = monte_carlo_measure(report.arcs, 5000, np.random.default_rng(3))
+    payloads = [
+        {"schema": "v1", "theta": "golden", **report.as_dict(arc_list), "monte_carlo": monte_carlo}
+        for arc_list in (cli._ARC_LIST, None)
+    ]
+    return payloads[0], report.arcs, payloads[1]
 
 
-def _arc_list(ends):
-    return {"schema": "v1", "arcs": [{"lo": lo, "hi": hi} for lo, hi in zip(ends[0::2], ends[1::2])]}
-
-
-def _long_arc_list():
+def _long_arcs():
     # 5,000 arcs, more than one block of floatfmt rows, with exponent forms
     rng = np.random.default_rng(7)
     ends = np.sort(np.geomspace(1e-7, 6.28, 10_000) * rng.uniform(0.999, 1.0, 10_000))
     ends[-1] = 1e17
-    return _arc_list(ends.tolist())
+    arcs = ArcSet.from_sweeps(ends[0::2], ends[1::2], 1e18)
+    assert arcs.count == 5_000 > floatfmt.BLOCK
+    return arcs
 
 
 @pytest.mark.parametrize(
-    "payload",
+    "case",
     [
-        {"schema": "v1", **ArcSet.empty(2 * math.pi).as_dict()},
-        {"schema": "v1", **ArcSet.full(2 * math.pi).as_dict()},
-        {"schema": "v1", "resolution": 64, **ArcSet([(6.0, 7.0), (1.0, 2.5)], 2 * math.pi).as_dict()},
-        {
-            "nested": {"arcs": ArcSet([(0.75, 1.25)], 1).as_dict(), "rows": [[1, 2], {"b": None}]},
-            "pair": (1.5, "x"),
-            "flags": {"on": True, "off": False, "none": None, "text": "é"},
-        },
-        {"arcs": [{"lo": float("nan"), "hi": 1.0}], "other": {"arcs": [{"lo": 0.5}]}},
-        _gordon_payload(),
-        _arc_list([0.1 * k for k in range(20)]),
-        _long_arc_list(),
+        _spectrum_case(ArcSet.empty(2 * math.pi)),
+        _spectrum_case(ArcSet.full(2 * math.pi)),
+        _spectrum_case(ArcSet([(6.0, 7.0), (1.0, 2.5)], 2 * math.pi)),
+        _gordon_case(),
+        _spectrum_case(ArcSet.from_sweeps(np.arange(10) * 0.2, np.arange(10) * 0.2 + 0.1, 2 * math.pi)),
+        _spectrum_case(_long_arcs()),
     ],
-    ids=["empty", "full", "across-0", "nested", "not-plain-arcs", "gordon-mc", "short-arcs", "long-arcs"],
+    ids=["empty", "full", "across-0", "gordon-mc", "short-arcs", "long-arcs"],
 )
-def test_json_text_matches_json_dumps(payload):
-    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def test_json_text_matches_json_dumps(case):
+    payload, arcs, plain = case
+    assert cli._json_text(payload, arcs) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
 
 def test_floquet_check_report(capsys):
@@ -504,6 +506,18 @@ def test_path_that_cannot_be_opened_is_usage_error(capsys, tmp_path, flag):
     code, out, err = run_cli(capsys, *argv, flag, path)
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert err.startswith("error: ") and path in err and err.count("\n") == 1
+
+
+def test_coding_window_past_word_cap_is_resource_exit(capsys, monkeypatch):
+    # refused before any letter is computed
+    def no_letter(*args, **kwargs):
+        raise AssertionError("letter computed past the cap")
+
+    monkeypatch.setattr(RotationCoding, "letter", no_letter)
+    argv = ["word", "--sturmian", "--theta", "golden", "--beta", "0", "--range=1..100", "--cap", "10"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (cli.EXIT_RESOURCE, "")
+    assert err.startswith("resource cap hit: ") and err.count("\n") == 1 and "cap of 10 letters" in err
 
 
 @pytest.mark.parametrize("command", ["spectrum", "floquet-check"])

@@ -424,8 +424,8 @@ GOLDEN_55 = "0.6180339887498948482045868343656381177203091798057628621"
 
 def assert_floats_are_rounded_exact_endpoints(arcs):
     los, his = arcs._float_endpoints()
-    assert los == [float(lo) for lo, _ in arcs.arcs]
-    assert his == [float(hi) for _, hi in arcs.arcs]
+    assert los.tolist() == [float(lo) for lo, _ in arcs.arcs]
+    assert his.tolist() == [float(hi) for _, hi in arcs.arcs]
 
 
 @pytest.mark.filterwarnings("ignore:q_.* is odd")
@@ -491,7 +491,7 @@ def test_round_numerators_falls_back_next_to_a_midpoint():
         a, b = np.array([a_k]), np.array([b_k])
         assert not _round_numerators(a, b, den, d)[1][0], (a_k, b_k, den, d)
         value = Quadratic(Fraction(a_k, den), Fraction(b_k, den), 5)
-        assert _endpoint_floats(a, b, den, d) == [float(value)]
+        assert _endpoint_floats(a, b, den, d).tolist() == [float(value)]
     # within 2^-80 of a midpoint but farther than the error bound: certified,
     # and correctly rounded
     for k in (7, 8):
@@ -502,7 +502,7 @@ def test_round_numerators_falls_back_next_to_a_midpoint():
             assert f[0] == float(Quadratic(a_k, b_k, 5))
     # a denominator of 2^53 or more need not be a float: every value is exact
     value = Quadratic(Fraction(1, 2**53 + 1))
-    assert _endpoint_floats(np.array([1]), np.array([0]), 2**53 + 1, 0) == [float(value)]
+    assert _endpoint_floats(np.array([1]), np.array([0]), 2**53 + 1, 0).tolist() == [float(value)]
 
 
 @pytest.mark.filterwarnings("ignore:q_.* is odd")

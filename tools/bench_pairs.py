@@ -22,7 +22,12 @@ metric whose name ends in ``_frac``).  Next to the end-to-end metrics it
 prints ``raw_batch_s`` (the unscaled job time) and ``reference_median_s``
 (the median of the reference loop that scales it), both read from each
 run's ``.perfbench_out/result-*.json``, so a move of ``batch_s`` can be told
-from a move of its scale.  ``--out`` writes every run and the summaries as
+from a move of its scale.  Next to ``setup_s`` it prints ``import_s``, each
+side's median cumulative import time of ``cmvsubshift.cli`` from N fresh
+``python -X importtime`` runs after one warm-up run that writes the
+bytecode: ``setup_s`` times whole interpreter runs through a wait that
+polls in steps of up to 0.05 s, and ``import_s`` reads the interpreter's
+own microsecond count.  ``--out`` writes every run and the summaries as
 JSON; when the file exists and holds the same two revisions, the new runs
 are added to it, so one file can hold the runs of several seeds.  Each side
 also records ``src_sha256``, a digest of the paths and bytes of its
@@ -114,6 +119,25 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: boo
             "metrics": metrics}
 
 
+def import_times(checkouts: dict, runs: int) -> dict:
+    """Each side's median cumulative import time of cmvsubshift.cli, in
+    seconds, over ``runs`` fresh interpreters started with -X importtime,
+    after one warm-up run per side that writes the bytecode caches; the side
+    that runs first alternates, as in the pairs."""
+    argv = [sys.executable, "-X", "importtime", "-c", "import cmvsubshift.cli"]
+    samples = {side: [] for side in SIDES}
+    for k in range(runs + 1):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            env = dict(os.environ, PYTHONPATH=os.path.join(checkouts[side], "src"), PYTHONHASHSEED="0")
+            proc = subprocess.run(argv, cwd=checkouts[side], env=env, capture_output=True, text=True, check=True)
+            # stderr lines read "import time: <self us> | <cumulative us> | <module>"
+            rows = (line.split("|") for line in proc.stderr.splitlines() if line.startswith("import time:"))
+            cumulative = next(int(row[1]) for row in rows if row[2].strip() == "cmvsubshift.cli")
+            if k:
+                samples[side].append(cumulative / 1e6)
+    return {side: statistics.median(v) for side, v in samples.items()}
+
+
 def summarize(pairs: list) -> dict:
     """Per metric: each side's median and quartiles, and the head's wins."""
     out = {}
@@ -136,6 +160,9 @@ def print_report(runs: list) -> None:
             cells = "  ".join(f"{side} {s[side]['median']:.6g} [{s[side]['q1']:.6g}, {s[side]['q3']:.6g}]"
                               for side in SIDES)
             print(f"  {name:20} {cells}  head better in {s['head_wins']}/{s['pairs']}")
+            if name == "setup_s" and "import_s" in entry:
+                cells = "  ".join(f"{side} {entry['import_s'][side]:.6g}" for side in SIDES)
+                print(f"  {'import_s':20} {cells}  (median of {len(entry['pairs'])} -X importtime runs)")
         for side in SIDES:
             outcomes = sorted({(p[side]["failed"], p[side]["attempted"], p[side]["correct"]) for p in entry["pairs"]})
             print(f"  {side} (failed, attempted, correct): {outcomes}")
@@ -189,7 +216,8 @@ def main(argv=None) -> int:
             print(f"{workload} pair {k + 1}/{args.pairs}: batch_s base {pair['base']['metrics']['batch_s']:.4f}"
                   f" head {pair['head']['metrics']['batch_s']:.4f}", file=sys.stderr, flush=True)
         entry = {"workload": workload, "seed": args.seed, "seconds": args.seconds,
-                 "pairs": pairs, "summary": summarize(pairs)}
+                 "pairs": pairs, "summary": summarize(pairs),
+                 "import_s": import_times(checkouts, args.pairs)}
         if args.trace:
             entry["trace"] = {side: run_once(checkouts[side], workload, args.seed, args.seconds, True)
                               for side in SIDES}

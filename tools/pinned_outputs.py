@@ -101,6 +101,8 @@ CONFIGS = [
     # bad arcs 8e-20 wide: the float endpoints run 0.0 ... 1.0, and only the
     # exact ones tell that no arc crosses 0
     ("gordon-subfloat-wrap", ["gordon", "--theta", "0.25000000000000000001", "--n", "3"]),
+    # no good arc survives: the payload's arc list is empty
+    ("gordon-empty", ["gordon", "--theta", "golden", "--n", "3", "--mode", "coding", "--interval", "1/10", "9/10"]),
     # help and usage errors: argparse prints them and raises SystemExit
     ("help", ["--help"]),
     *((f"help-{command}", [command, "--help"])
